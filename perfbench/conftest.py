@@ -1,0 +1,7 @@
+"""Lets the tests import the benchmark modules and the package from src."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
