@@ -134,30 +134,13 @@ def _hamming_table(constellation: Constellation) -> np.ndarray:
     return (labels[:, None, :] != labels[None, :, :]).sum(axis=2).astype(np.int64)
 
 
-def _otfs_path_ops(config: SweepConfig) -> np.ndarray:
-    grid = config.grid
-    mn = grid.frame_size
-    U = modem.time_to_dd_operator(grid)
-    V = modem.dd_to_time_operator(grid)
-    ops = np.empty((len(config.paths), mn, mn), dtype=np.complex128)
-    for p, spec in enumerate(config.paths):
-        T = modem.cyclic_shift_matrix(mn, spec.l) @ modem.doppler_matrix(
-            mn, spec.k + spec.kappa)
-        ops[p] = U @ T @ V
-    return ops
-
-
-def _ofdm_shared_path_ops(config: SweepConfig) -> np.ndarray:
-    grid = config.grid
-    mn = grid.frame_size
-    FM = modem._dft_unitary(grid.M)
-    A = np.kron(np.eye(grid.N), FM)
-    ops = np.empty((len(config.paths), mn, mn), dtype=np.complex128)
-    for p, spec in enumerate(config.paths):
-        T = modem.cyclic_shift_matrix(mn, spec.l) @ modem.doppler_matrix(
-            mn, spec.k + spec.kappa)
-        ops[p] = A @ T @ A.conj().T
-    return ops
+def _path_operator(spec: PathSpec, config: SweepConfig) -> np.ndarray:
+    """Image of one unit-gain path on the detected symbol vector."""
+    ch = modem.build_channel_matrix([(1.0, spec.l, spec.k, spec.kappa)],
+                                    config.grid)
+    if config.waveform == "otfs":
+        return ch.H_eff
+    return modem.ofdm_effective_channel(ch.H, config.grid)
 
 
 def _cp_ofdm_subcarrier_response(config: SweepConfig) -> tuple:
@@ -225,18 +208,14 @@ def _run_waveform(config: SweepConfig, progress=None) -> BerCurve:
     mod = analytic.mod_params(config.scheme, config.order)
     bps = constellation.bits_per_symbol
     hamming = _hamming_table(constellation)
-    points_arr = np.ascontiguousarray(constellation.points)
-    kernels.set_threads(config.workers)
+    points_arr = constellation.points
 
     diag_chain = config.waveform == "ofdm" and config.ofdm_chain == "cp"
     if diag_chain:
         phi, scale = _cp_ofdm_subcarrier_response(config)
     else:
-        ops = _otfs_path_ops(config) if config.waveform == "otfs" \
-            else _ofdm_shared_path_ops(config)
+        ops = np.stack([_path_operator(spec, config) for spec in config.paths])
         cand_idx, cand_pts = modem.enumerate_candidates(constellation, mn)
-        cand_idx = np.ascontiguousarray(cand_idx)
-        cand_pts = np.ascontiguousarray(cand_pts)
 
     specs = config.paths
     out = []

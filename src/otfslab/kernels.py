@@ -1,143 +1,88 @@
 """Hot Monte Carlo kernels: frame-level ML detection and bit-error counting.
 
-Two interchangeable backends compute bit-identical results:
+There is one backend, numpy.
 
-* ``numba``  -- JIT-compiled per-frame loops, parallel across frames.
-* ``numpy``  -- vectorized fallback with the same accumulation order.
+Matrix-channel frames (OTFS, and the shared-H OFDM reference) see the
+effective channel ``H = sum_p h_p A_p``, with the path operators ``A_p``
+fixed per preset.  Exhaustive ML minimises the expanded metric
 
-Selection: the ``OTFSLAB_BACKEND`` environment variable (``numba`` or
-``numpy``), defaulting to numba when importable.  Both paths accumulate
-distances in ascending index order so that argmin tie-breaking and floating
-point results agree exactly; error counts are integer sums, so parallel
-scheduling cannot change them.
+    ||y - H c||^2 = ||y||^2 - 2 Re sum_p h_p <y, A_p c>
+                    + sum_{p,q} conj(h_p) h_q G[p,q,c]
+
+with ``<u, v> = u^H v`` and ``G[p,q,c] = <A_p c, A_q c>``.  ``||y||^2`` is the
+same for every candidate and is dropped.  The candidate images ``A_p c`` and
+the Gram terms are computed once per call, so the metric of a chunk of frames
+against all candidates is one real matrix product: per-frame features (the
+gain products ``conj(h_p) h_q`` and ``h_p conj(y)``) times per-candidate
+columns (``G`` and ``A_p c``).  No per-frame channel matrix is formed.
+
+Ties resolve to the lowest candidate index (``np.argmin`` returns the first
+minimiser and candidates are enumerated in lexicographic order), the rule of
+``modem.ml_detect``; decisions differ from the direct metric's only where two
+candidates' distances agree to rounding.  Each frame's decision depends on
+that frame's inputs alone, so error counts do not depend on how frames are
+split into batches or chunks, and both returned sums are integer sums.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-    from numba import njit, prange
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-        return deco if not (args and callable(args[0])) else args[0]
-
-    prange = range
-
-
-_env = os.environ.get("OTFSLAB_BACKEND", "").strip().lower()
-if _env in ("numba", "numpy"):
-    _BACKEND = _env
-    if _BACKEND == "numba" and not _HAVE_NUMBA:
-        raise ImportError("OTFSLAB_BACKEND=numba but numba is not installed")
-else:
-    _BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+# Bytes of the (chunk, C) float64 block of candidate metrics: frames are
+# processed in row chunks sized so that the block stays about this large.
+_CHUNK_BYTES = 8 << 20
 
 
 def active_backend() -> str:
-    return _BACKEND
+    """Name of the kernel implementation, for run headers."""
+    return "numpy"
 
 
-def set_backend(name: str) -> None:
-    """Override the backend (tests and benchmarks)."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not installed")
-    _BACKEND = name
+def _chunk_rows(n_cand: int) -> int:
+    """Frames per chunk for n_cand candidates."""
+    return max(1, _CHUNK_BYTES // (8 * n_cand))
 
 
-def set_threads(workers: int) -> None:
-    """Bound the numba thread pool; a no-op for the numpy backend."""
-    if _HAVE_NUMBA and workers >= 1:
-        numba.set_num_threads(min(workers, numba.config.NUMBA_NUM_THREADS))
-
-
-# ---------------------------------------------------------------------------
-# Matrix-channel frames (OTFS, and the shared-H OFDM reference): the frame's
-# effective channel is sum_p h_p * A_p with A_p fixed per preset.
-# ---------------------------------------------------------------------------
-
-def _matrix_frames_numpy(A_ops, gains, sym_idx, noise, points, cand_idx,
-                         cand_pts, hamming):
-    F, MN = sym_idx.shape
-    # explicit ascending-p accumulation keeps float parity with the jit path
-    Heff = np.zeros((F, MN, MN), dtype=np.complex128)
-    for p in range(A_ops.shape[0]):
-        Heff += gains[:, p, None, None] * A_ops[p]
-    x = points[sym_idx]
-    y = (Heff * x[:, None, :]).sum(axis=2) + noise
-    prop = (cand_pts[None, :, None, :] * Heff[:, None, :, :]).sum(axis=3)
-    diff = y[:, None, :] - prop
-    dist = (diff.real ** 2 + diff.imag ** 2).sum(axis=2)
-    best = np.argmin(dist, axis=1)
-    det_idx = cand_idx[best]
-    per_frame = hamming[det_idx, sym_idx].sum(axis=1)
+def _per_frame_totals(per_frame: np.ndarray) -> tuple:
     return int(per_frame.sum()), int((per_frame ** 2).sum())
 
 
-@njit(cache=True, parallel=True)
-def _matrix_frames_numba(A_ops, gains, sym_idx, noise, points, cand_idx,
-                         cand_pts, hamming):  # pragma: no cover - jitted
-    F, MN = sym_idx.shape
-    P = A_ops.shape[0]
-    C = cand_pts.shape[0]
-    total = 0
-    total_sq = 0
-    for f in prange(F):
-        Heff = np.zeros((MN, MN), dtype=np.complex128)
-        for p in range(P):
-            h = gains[f, p]
-            for i in range(MN):
-                for j in range(MN):
-                    Heff[i, j] += h * A_ops[p, i, j]
-        y = np.empty(MN, dtype=np.complex128)
-        for i in range(MN):
-            acc = 0.0 + 0.0j
-            for j in range(MN):
-                acc += Heff[i, j] * points[sym_idx[f, j]]
-            y[i] = acc + noise[f, i]
-        best = 0
-        best_d = np.inf
-        for c in range(C):
-            d = 0.0
-            for i in range(MN):
-                acc = 0.0 + 0.0j
-                for j in range(MN):
-                    acc += cand_pts[c, j] * Heff[i, j]
-                diff = y[i] - acc
-                d += diff.real * diff.real + diff.imag * diff.imag
-            if d < best_d:
-                best_d = d
-                best = c
-        errs = 0
-        for i in range(MN):
-            errs += hamming[cand_idx[best, i], sym_idx[f, i]]
-        total += errs
-        total_sq += errs * errs
-    return total, total_sq
-
+# ---------------------------------------------------------------------------
+# Matrix-channel frames: the frame's effective channel is sum_p h_p * A_p.
+# ---------------------------------------------------------------------------
 
 def matrix_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
                         cand_pts, hamming) -> tuple:
-    """(bit errors, sum of squared per-frame errors) over a batch of frames."""
-    args = (np.ascontiguousarray(A_ops), np.ascontiguousarray(gains),
-            np.ascontiguousarray(sym_idx), np.ascontiguousarray(noise),
-            np.ascontiguousarray(points), np.ascontiguousarray(cand_idx),
-            np.ascontiguousarray(cand_pts), np.ascontiguousarray(hamming))
-    if _BACKEND == "numba":
-        s, sq = _matrix_frames_numba(*args)
-        return int(s), int(sq)
-    return _matrix_frames_numpy(*args)
+    """(bit errors, sum of squared per-frame errors) over a batch of frames.
+
+    A_ops (P, MN, MN) path operators; gains (F, P); sym_idx (F, MN) indices
+    into points; noise (F, MN); cand_idx / cand_pts (C, MN) the candidate
+    index and symbol vectors; hamming (order, order) bit distances.
+    """
+    P, MN, _ = A_ops.shape
+    C = len(cand_pts)
+    F = len(gains)
+    # metric[f, c] - ||y_f||^2 = Re(feat[f] . W[:, c]) with
+    # feat[f] = [conj(h_p) h_q, -2 h_p conj(y_i)], W[:, c] = [G[p, q, c], (A_p c)_i]
+    AC = np.matmul(cand_pts[None], A_ops.transpose(0, 2, 1))
+    G = np.einsum("pci,qci->pqc", AC.conj(), AC)
+    W = np.concatenate([G.reshape(P * P, C),
+                        AC.transpose(0, 2, 1).reshape(P * MN, C)])
+
+    y = np.einsum("fp,pfi->fi", gains,
+                  np.matmul(points[sym_idx], A_ops.transpose(0, 2, 1))) + noise
+    feat = np.concatenate([
+        (gains.conj()[:, :, None] * gains[:, None, :]).reshape(F, P * P),
+        (-2.0 * gains[:, :, None] * y.conj()[:, None, :]).reshape(F, P * MN)],
+        axis=1)
+    # Re(a . b) = [Re a, Im a] . [Re b, -Im b]: one real product per chunk
+    feat = np.concatenate([feat.real, feat.imag], axis=1)
+    W = np.concatenate([W.real, -W.imag])
+    best = np.empty(F, dtype=np.intp)
+    rows = _chunk_rows(C)
+    for lo in range(0, F, rows):
+        best[lo:lo + rows] = np.argmin(feat[lo:lo + rows] @ W, axis=1)
+    return _per_frame_totals(hamming[cand_idx[best], sym_idx].sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -147,54 +92,15 @@ def matrix_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
 # diagonal after the FFT.
 # ---------------------------------------------------------------------------
 
-def _diag_frames_numpy(phi, scale, gains, sym_idx, noise, points, hamming):
+def diag_frame_errors(phi, scale, gains, sym_idx, noise, points, hamming) -> tuple:
+    """(bit errors, sum of squared per-frame errors) for diagonal frames."""
     lam = np.zeros((gains.shape[0], phi.shape[1]), dtype=np.complex128)
     for p in range(phi.shape[0]):
         lam += gains[:, p, None] * phi[p]
+    scale = float(scale)
     y = scale * lam * points[sym_idx] + noise
     ref = scale * lam[:, :, None] * points[None, None, :]
     diff = y[:, :, None] - ref
     dist = diff.real ** 2 + diff.imag ** 2
     det = np.argmin(dist, axis=2)
-    per_frame = hamming[det, sym_idx].sum(axis=1)
-    return int(per_frame.sum()), int((per_frame ** 2).sum())
-
-
-@njit(cache=True, parallel=True)
-def _diag_frames_numba(phi, scale, gains, sym_idx, noise, points,
-                       hamming):  # pragma: no cover - jitted
-    F, MN = sym_idx.shape
-    P = phi.shape[0]
-    order = points.shape[0]
-    total = 0
-    total_sq = 0
-    for f in prange(F):
-        errs = 0
-        for q in range(MN):
-            lam = 0.0 + 0.0j
-            for p in range(P):
-                lam += gains[f, p] * phi[p, q]
-            y = scale * lam * points[sym_idx[f, q]] + noise[f, q]
-            best = 0
-            best_d = np.inf
-            for a in range(order):
-                diff = y - scale * lam * points[a]
-                d = diff.real * diff.real + diff.imag * diff.imag
-                if d < best_d:
-                    best_d = d
-                    best = a
-            errs += hamming[best, sym_idx[f, q]]
-        total += errs
-        total_sq += errs * errs
-    return total, total_sq
-
-
-def diag_frame_errors(phi, scale, gains, sym_idx, noise, points, hamming) -> tuple:
-    """(bit errors, sum of squared per-frame errors) for diagonal frames."""
-    args = (np.ascontiguousarray(phi), float(scale), np.ascontiguousarray(gains),
-            np.ascontiguousarray(sym_idx), np.ascontiguousarray(noise),
-            np.ascontiguousarray(points), np.ascontiguousarray(hamming))
-    if _BACKEND == "numba":
-        s, sq = _diag_frames_numba(*args)
-        return int(s), int(sq)
-    return _diag_frames_numpy(*args)
+    return _per_frame_totals(hamming[det, sym_idx].sum(axis=1))

@@ -146,9 +146,10 @@ def kernel_sums(cfg, pt_idx, batch_sizes):
                                                 noise, points, hamming)
         else:
             cand_idx, cand_pts = modem.enumerate_candidates(const, mn)
+            ops = np.stack([modem.build_channel_matrix(
+                [(1.0, s.l, s.k, s.kappa)], cfg.grid).H_eff for s in cfg.paths])
             e, e_sq = kernels.matrix_frame_errors(
-                engine._otfs_path_ops(cfg), gains, sym_idx, noise, points,
-                cand_idx, cand_pts, hamming)
+                ops, gains, sym_idx, noise, points, cand_idx, cand_pts, hamming)
         total += e
         total_sq += e_sq
     return total, total_sq
