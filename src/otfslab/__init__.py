@@ -12,7 +12,7 @@ from . import analytic, diversity, engine, fading, kernels, modem, specfun
 from .engine import BerCurve, BerPoint, SweepConfig, run_sweep, wilson_interval
 from .errors import (CapacityError, ConfigError, DegenerateScalesError,
                      DomainError, NoInterferenceSignal, NumericError)
-from .fading import ChannelRealization, PathSpec, make_stream
+from .fading import PathSpec, make_stream
 from .modem import Constellation, DdFrame, OtfsGrid, make_constellation
 
 __all__ = [
@@ -20,6 +20,6 @@ __all__ = [
     "modem", "specfun", "BerCurve", "BerPoint", "SweepConfig", "run_sweep",
     "wilson_interval", "CapacityError", "ConfigError", "DegenerateScalesError",
     "DomainError", "NoInterferenceSignal", "NumericError",
-    "ChannelRealization", "PathSpec", "make_stream", "Constellation",
+    "PathSpec", "make_stream", "Constellation",
     "DdFrame", "OtfsGrid", "make_constellation",
 ]

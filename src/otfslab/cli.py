@@ -368,13 +368,7 @@ def cmd_analytic(args) -> int:
     mod = analytic.mod_params(cfg.scheme, cfg.order)
     points = []
     for snr_db in cfg.snr_db:
-        es_n0 = 10.0 ** (snr_db / 10.0)
-        if cfg.mode == "simo-semianalytic":
-            mu, var = analytic.sinr_moments(es_n0, cfg.interferers)
-            value = analytic.deterministic_ber(es_n0, mod) if var == 0.0 \
-                else analytic.multiuser_ber(es_n0, analytic.gamma_approx(mu, var), mod)
-        else:
-            value = analytic.siso_ber(es_n0, cfg.paths, mod)
+        value = engine.analytic_reference(cfg, 10.0 ** (snr_db / 10.0), mod)
         points.append(engine.BerPoint(snr_db=snr_db, bit_errors=0, bits=0,
                                       ber=float("nan"), ci_low=float("nan"),
                                       ci_high=float("nan"), analytic_ber=value))

@@ -169,9 +169,10 @@ def _cp_ofdm_subcarrier_response(config: SweepConfig) -> tuple:
     return phi, scale
 
 
-def _analytic_reference(config: SweepConfig, es_n0: float,
-                        mod: analytic.ModErrorParams) -> float:
-    """Closed-form value attached to each sweep point."""
+def analytic_reference(config: SweepConfig, es_n0: float,
+                       mod: analytic.ModErrorParams) -> float:
+    """Closed-form value of one sweep point: the ``ber_analytic`` column of
+    both ``run_sweep`` and ``otfslab analytic``."""
     if config.mode == "simo-semianalytic":
         mu, var = analytic.sinr_moments(es_n0, config.interferers)
         if var == 0.0:
@@ -251,7 +252,7 @@ def _run_waveform(config: SweepConfig, progress=None) -> BerCurve:
         lo, hi = wilson_interval(errors, bits)
         out.append(BerPoint(snr_db=float(snr_db), bit_errors=errors, bits=bits,
                             ber=ber, ci_low=lo, ci_high=hi,
-                            analytic_ber=_analytic_reference(config, es_n0, mod),
+                            analytic_ber=analytic_reference(config, es_n0, mod),
                             se=clustered_se(errors, errors_sq, frames, mn * bps)))
     return BerCurve(points=tuple(out), waveform=config.waveform,
                     preset=config.preset, config=config)
@@ -270,7 +271,7 @@ def _run_semianalytic(config: SweepConfig, progress=None) -> BerCurve:
         hi = min(1.0, ber + 1.959963984540054 * se)
         out.append(BerPoint(snr_db=float(snr_db), bit_errors=0, bits=0,
                             ber=ber, ci_low=lo, ci_high=hi,
-                            analytic_ber=_analytic_reference(config, es_n0, mod),
+                            analytic_ber=analytic_reference(config, es_n0, mod),
                             se=se))
         if progress is not None:
             progress(pt_idx, snr_db, trials, 0)

@@ -43,31 +43,11 @@ class PathSpec:
             raise DomainError(f"fractional Doppler must lie in [-0.5, 0.5), got {self.kappa}")
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Drawn complex gains together with the specs that produced them."""
-
-    gains: tuple
-    specs: tuple
-    stream_id: int = 0
-
-    def __post_init__(self):
-        if len(self.gains) != len(self.specs):
-            raise ConfigError("gains and specs must have equal length")
-
-
 def make_stream(master_seed: int, *stream_id: int) -> np.random.Generator:
     """Counter-based Philox stream keyed by (master_seed, stream_id...)."""
     seq = np.random.SeedSequence(entropy=int(master_seed),
                                  spawn_key=tuple(int(s) for s in stream_id))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def sample_nakagami_gain(spec: PathSpec, rng: np.random.Generator) -> complex:
-    """One complex gain whose magnitude is Nakagami-m with E[|h|^2] = omega."""
-    mag = math.sqrt(rng.gamma(spec.m, spec.omega / spec.m))
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    return complex(mag * math.cos(phase), mag * math.sin(phase))
 
 
 def sample_nakagami_gains(specs, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -78,23 +58,6 @@ def sample_nakagami_gains(specs, rng: np.random.Generator, size: int) -> np.ndar
         phase = rng.uniform(0.0, 2.0 * math.pi, size)
         out[:, p] = mag * np.exp(1j * phase)
     return out
-
-
-def generate_channel(specs, rng: np.random.Generator, stream_id: int = 0,
-                     require_normalized: bool = False) -> ChannelRealization:
-    """Draw independent gains for every path of one channel realization."""
-    specs = tuple(specs)
-    if not specs:
-        raise ConfigError("at least one path is required")
-    placements = [(s.l, s.k) for s in specs]
-    if len(set(placements)) != len(placements):
-        raise ConfigError(f"duplicate (delay, Doppler) placements: {placements}")
-    if require_normalized:
-        total = sum(s.omega for s in specs)
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"path powers must sum to 1, got {total}")
-    gains = tuple(sample_nakagami_gain(s, rng) for s in specs)
-    return ChannelRealization(gains=gains, specs=specs, stream_id=stream_id)
 
 
 def max_doppler_hz(fc_hz: float, speed_mps: float) -> float:

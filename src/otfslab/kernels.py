@@ -22,6 +22,18 @@ minimiser and candidates are enumerated in lexicographic order), the rule of
 candidates' distances agree to rounding.  Each frame's decision depends on
 that frame's inputs alone, so error counts do not depend on how frames are
 split into batches or chunks, and both returned sums are integer sums.
+
+Subcarrier-diagonal frames (conventional CP-OFDM) see one flat gain per
+symbol, ``lambda = sum_p h_p phi_p``, so ML factorizes into per-symbol
+nearest-point decisions.  That kernel works on ``(MN, frames)`` blocks, frames
+on the long contiguous axis, in blocks of about ``_DIAG_BLOCK_SYMBOLS``
+symbols so the temporaries stay cache-resident.  It visits the constellation
+points in index order and keeps a running minimum distance per symbol; a
+decision moves to point ``c`` only where ``d_c`` is strictly smaller than the
+best so far, so ties resolve to the lowest point index as ``np.argmin`` does.
+Each ``d_c = |y - (scale lambda) p_c|^2`` is formed with the operations, and
+operand order, of the direct ``(F, MN, order)`` formula, so distances and
+decisions are bit-identical to it; no ``(F, MN, order)`` array is made.
 """
 
 from __future__ import annotations
@@ -31,6 +43,10 @@ import numpy as np
 # Bytes of the (chunk, C) float64 block of candidate metrics: frames are
 # processed in row chunks sized so that the block stays about this large.
 _CHUNK_BYTES = 8 << 20
+
+# Symbols per (MN, frames) block of the diagonal kernel: frames are processed
+# in blocks of this many symbols so that its temporaries stay cache-resident.
+_DIAG_BLOCK_SYMBOLS = 8192
 
 
 def active_backend() -> str:
@@ -89,18 +105,52 @@ def matrix_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
 # Subcarrier-diagonal frames (conventional CP-OFDM): each subcarrier sees a
 # flat gain lambda_q = sum_p h_p phi[p, q]; per-block ML factorizes into
 # per-subcarrier nearest-point decisions because the block channel is
-# diagonal after the FFT.
+# diagonal after the FFT.  Complex products keep the direct formula's operand
+# order (h_p phi_p, (scale lambda) p): with fused multiply-adds numpy's
+# complex product is not bitwise commutative.
 # ---------------------------------------------------------------------------
 
+def _diag_rows(mn: int) -> int:
+    """Frames per block for mn symbols per frame."""
+    return max(1, _DIAG_BLOCK_SYMBOLS // mn)
+
+
 def diag_frame_errors(phi, scale, gains, sym_idx, noise, points, hamming) -> tuple:
-    """(bit errors, sum of squared per-frame errors) for diagonal frames."""
-    lam = np.zeros((gains.shape[0], phi.shape[1]), dtype=np.complex128)
-    for p in range(phi.shape[0]):
-        lam += gains[:, p, None] * phi[p]
+    """(bit errors, sum of squared per-frame errors) for diagonal frames.
+
+    phi (P, MN) per-path subcarrier responses; scale the data-symbol
+    amplitude; gains (F, P); sym_idx (F, MN) indices into points;
+    noise (F, MN); hamming (order, order) bit distances.
+    """
+    P, MN = phi.shape
+    F = len(gains)
+    order = len(points)
     scale = float(scale)
-    y = scale * lam * points[sym_idx] + noise
-    ref = scale * lam[:, :, None] * points[None, None, :]
-    diff = y[:, :, None] - ref
-    dist = diff.real ** 2 + diff.imag ** 2
-    det = np.argmin(dist, axis=2)
-    return _per_frame_totals(hamming[det, sym_idx].sum(axis=1))
+    ham = hamming.ravel()
+    det_type = np.min_scalar_type(order - 1)
+    per_frame = np.empty(F, dtype=np.int64)
+    rows = _diag_rows(MN)
+    for lo in range(0, F, rows):
+        s = slice(lo, lo + rows)
+        lam = np.zeros((MN, len(gains[s])), dtype=np.complex128)
+        for p in range(P):
+            lam += gains[s, p] * phi[p][:, None]
+        sl = scale * lam
+        sym = np.ascontiguousarray(sym_idx[s].T)
+        # a call, not `sl * points[sym]`: numpy may evaluate an operator whose
+        # right operand is a large temporary with the operands swapped
+        y = np.multiply(sl, points[sym]) + np.ascontiguousarray(noise[s].T)
+        det = np.zeros(sym.shape, dtype=det_type)
+        for c in range(order):
+            diff = y - sl * points[c]
+            dist = diff.real ** 2 + diff.imag ** 2
+            if c == 0:
+                best = dist
+                continue
+            # c grows, so the last strict improvement is the largest c that
+            # improved: the first minimiser, as np.argmin picks it
+            np.maximum(det, (dist < best).view(np.uint8) * det_type.type(c),
+                       out=det)
+            np.minimum(best, dist, out=best)
+        per_frame[s] = ham[det.astype(np.intp) * order + sym].sum(axis=0)
+    return _per_frame_totals(per_frame)

@@ -257,13 +257,6 @@ def build_channel_matrix(paths, grid: OtfsGrid) -> ChannelMatrices:
     return ChannelMatrices(H=H, H_eff=U @ H @ V)
 
 
-def channel_from_realization(realization, grid: OtfsGrid) -> ChannelMatrices:
-    """ChannelMatrices from a fading ChannelRealization."""
-    paths = [(g, s.l, s.k, s.kappa)
-             for g, s in zip(realization.gains, realization.specs)]
-    return build_channel_matrix(paths, grid)
-
-
 # ---------------------------------------------------------------------------
 # Links and detection
 # ---------------------------------------------------------------------------

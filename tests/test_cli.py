@@ -1,9 +1,13 @@
 """Command-line surface: subcommands, exit codes, CSV format, reproducibility."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import otfslab
 from otfslab import cli
 from otfslab.cli import (CSV_HEADER, config_from_kv, config_to_kv, emit_csv,
                          main, parse_config_text, parse_csv_rows)
@@ -161,3 +165,26 @@ class TestCliCommands:
         text = capsys.readouterr().out
         assert "otfs-p1-m1" in text and "otfs-p2-m12-analytic" in text
         assert out.read_text().count("\n") == 5
+
+    def test_analytic_and_sweep_columns_agree_for_cp_ofdm(self, tmp_path):
+        # one closed form for both commands, CP energy factor included
+        cfg = tmp_path / "cp.cfg"
+        cfg.write_text("waveform = ofdm\nofdm_chain = cp\nsnr = 0:10:20\n")
+        sweep_out, analytic_out = tmp_path / "s.csv", tmp_path / "a.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(sweep_out),
+                     "--frames-max", "64"]) == 0
+        assert main(["analytic", "--config", str(cfg),
+                     "--out", str(analytic_out)]) == 0
+        swept = [row[4] for row in parse_csv_rows(sweep_out)]
+        assert [row[4] for row in parse_csv_rows(analytic_out)] == swept
+        assert len(swept) == 3
+
+    def test_python_m_otfslab_reports_version(self):
+        src = os.path.dirname(os.path.dirname(otfslab.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        res = subprocess.run([sys.executable, "-m", "otfslab", "--version"],
+                             capture_output=True, text=True, env=env,
+                             timeout=60)
+        assert res.returncode == 0
+        assert res.stdout.strip() == otfslab.__version__

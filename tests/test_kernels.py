@@ -4,6 +4,12 @@ The matrix kernel is checked against the per-frame modem chain
 (``otfs_link`` / ``ofdm_link`` + ``ml_detect``) one frame at a time, and
 against a direct-metric reference ``argmin ||y - H_f c||^2`` on whole
 batches; its counts must not depend on how a batch is split into chunks.
+
+The diagonal (CP-OFDM) kernel is checked against exhaustive joint ML over
+all ``order^MN`` symbol vectors, which tests the per-subcarrier
+factorization, one frame at a time, and against the direct
+``(F, MN, order)`` argmin formula on whole batches; its counts must not
+depend on how a batch is split into blocks.
 """
 
 import math
@@ -138,3 +144,152 @@ def test_matrix_kernel_counts_do_not_depend_on_chunking(monkeypatch):
 
 def test_active_backend_reports_known_name():
     assert kernels.active_backend() == "numpy"
+
+
+# ---------------------------------------------------------------------------
+# Subcarrier-diagonal (CP-OFDM) kernel
+# ---------------------------------------------------------------------------
+
+# name -> (grid, scheme, paths) on the CP-OFDM chain
+DIAG_CASES = {
+    "cp-one-path-bpsk": (OtfsGrid(M=2, N=2), "bpsk", (PathSpec(m=1, omega=1.0),)),
+    "cp-two-path-qpsk": (OtfsGrid(M=2, N=2), "qpsk", TWO_PATHS),
+    "cp-fractional-doppler": (OtfsGrid(M=4, N=2), "bpsk",
+                              (PathSpec(m=2, omega=1.0, l=1, k=1, kappa=0.3),)),
+}
+
+
+def diag_config(case):
+    grid, scheme, paths = DIAG_CASES[case]
+    return engine.SweepConfig(grid=grid, scheme=scheme,
+                              order=make_constellation(scheme).order,
+                              paths=paths, waveform="ofdm", ofdm_chain="cp")
+
+
+def make_diag_batch(case, seed, sigma, nf):
+    """diag_frame_errors arguments of one fixed-seed batch, drawn as the
+    engine draws them."""
+    cfg = diag_config(case)
+    const = make_constellation(cfg.scheme)
+    mn = cfg.grid.frame_size
+    phi, scale = engine._cp_ofdm_subcarrier_response(cfg)
+    rng = make_stream(seed, 1)
+    gains = sample_nakagami_gains(cfg.paths, rng, nf)
+    sym_idx = rng.integers(0, const.order, (nf, mn))
+    noise = (rng.standard_normal((nf, mn))
+             + 1j * rng.standard_normal((nf, mn))) * (sigma / math.sqrt(2.0))
+    return (phi, scale, gains, sym_idx, noise, const.points,
+            engine._hamming_table(const))
+
+
+def direct_diag_errors(phi, scale, gains, sym_idx, noise, points, hamming):
+    """argmin over points of the (F, MN, order) distance tensor; returns the
+    kernel's (errors, errors_sq)."""
+    lam = np.zeros((gains.shape[0], phi.shape[1]), dtype=np.complex128)
+    for p in range(phi.shape[0]):
+        lam += gains[:, p, None] * phi[p]
+    scale = float(scale)
+    y = scale * lam * points[sym_idx] + noise
+    ref = scale * lam[:, :, None] * points[None, None, :]
+    diff = y[:, :, None] - ref
+    det = np.argmin(diff.real ** 2 + diff.imag ** 2, axis=2)
+    per_frame = hamming[det, sym_idx].sum(axis=1)
+    return int(per_frame.sum()), int((per_frame ** 2).sum())
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+@pytest.mark.parametrize("case", sorted(DIAG_CASES))
+def test_diag_kernel_matches_joint_ml(case, sigma):
+    const = make_constellation(diag_config(case).scheme)
+    batch = make_diag_batch(case, 31 + SIGMAS.index(sigma), sigma, 256)
+    phi, scale, gains, sym_idx, noise, points, hamming = batch
+    got, want = [], []
+    for f in range(len(gains)):
+        e, e_sq = kernels.diag_frame_errors(
+            phi, scale, gains[f:f + 1], sym_idx[f:f + 1], noise[f:f + 1],
+            points, hamming)
+        assert e_sq == e * e
+        got.append(e)
+        H = np.diag(scale * (gains[f] @ phi))
+        det = modem.ml_detect(H @ points[sym_idx[f]] + noise[f], H, const)
+        want.append(int(hamming[det, sym_idx[f]].sum()))
+    assert got == want
+    if sigma == 1.0:
+        assert sum(got) > 0
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("case", sorted(DIAG_CASES))
+def test_diag_kernel_matches_direct_formula(case, seed):
+    # more frames than one block, so a partial block is included
+    mn = diag_config(case).grid.frame_size
+    nf = kernels._diag_rows(mn) + 1001
+    for sigma in (1.0, 0.3, 0.05):
+        batch = make_diag_batch(case, seed, sigma, nf)
+        assert kernels.diag_frame_errors(*batch) == direct_diag_errors(*batch)
+
+
+@pytest.mark.parametrize("scheme,order", [("qam", 16), ("psk", 512)])
+def test_diag_kernel_matches_direct_formula_for_large_orders(scheme, order):
+    # 512 points need decisions wider than one byte
+    cfg = engine.SweepConfig(grid=OtfsGrid(M=2, N=2), scheme=scheme, order=order,
+                             paths=TWO_PATHS, waveform="ofdm", ofdm_chain="cp")
+    const = make_constellation(scheme, order)
+    phi, scale = engine._cp_ofdm_subcarrier_response(cfg)
+    rng = make_stream(9, order)
+    gains = sample_nakagami_gains(cfg.paths, rng, 600)
+    sym_idx = rng.integers(0, order, (600, 4))
+    noise = (rng.standard_normal((600, 4))
+             + 1j * rng.standard_normal((600, 4))) * 0.02
+    batch = (phi, scale, gains, sym_idx, noise, const.points,
+             engine._hamming_table(const))
+    got = kernels.diag_frame_errors(*batch)
+    assert got == direct_diag_errors(*batch)
+    assert got[0] > 0
+
+
+def test_diag_kernel_ties_resolve_to_lowest_index():
+    # with every gain zero all points tie on every symbol; point 0 wins
+    batch = list(make_diag_batch("cp-two-path-qpsk", 7, 0.3, 64))
+    batch[2] = np.zeros_like(batch[2])
+    sym_idx, hamming = batch[3], batch[6]
+    per_frame = hamming[0, sym_idx].sum(axis=1)
+    assert per_frame.sum() > 0
+    assert kernels.diag_frame_errors(*batch) == (
+        int(per_frame.sum()), int((per_frame ** 2).sum()))
+
+
+def test_diag_kernel_counts_do_not_depend_on_splits(monkeypatch):
+    case = "cp-two-path-qpsk"
+    rows = kernels._diag_rows(diag_config(case).grid.frame_size)
+    batch = make_diag_batch(case, 5, 0.3, 2 * rows + 501)
+    phi, scale, gains, sym_idx, noise, points, hamming = batch
+    split = rows + 37
+    assert rows > 1 and split % 2 == 1
+    whole = kernels.diag_frame_errors(*batch)
+    assert whole[0] > 0
+    halves = [kernels.diag_frame_errors(phi, scale, gains[s], sym_idx[s],
+                                        noise[s], points, hamming)
+              for s in (slice(0, split), slice(split, None))]
+    assert tuple(map(sum, zip(*halves))) == whole
+    # blocks of three frames, then of one
+    for symbols in (3 * phi.shape[1], 1):
+        monkeypatch.setattr(kernels, "_DIAG_BLOCK_SYMBOLS", symbols)
+        assert kernels.diag_frame_errors(*batch) == whole
+
+
+@pytest.mark.parametrize("case", sorted(DIAG_CASES))
+def test_cp_subcarrier_response_is_the_cp_ofdm_operator(case):
+    # path p acts on a CP-OFDM frame as kron(Delta_N^(k+kappa), Pi_M^l);
+    # the per-symbol DFT makes it diagonal with phi[p] on the diagonal
+    cfg = diag_config(case)
+    grid = cfg.grid
+    phi, scale = engine._cp_ofdm_subcarrier_response(cfg)
+    assert scale == pytest.approx(math.sqrt(grid.M / (2 * grid.M - 1)), rel=1e-15)
+    for p, s in enumerate(cfg.paths):
+        H = modem.ofdm_effective_channel(
+            np.kron(modem.doppler_matrix(grid.N, s.k + s.kappa),
+                    modem.cyclic_shift_matrix(grid.M, s.l)), grid)
+        assert np.allclose(np.diag(H), phi[p], rtol=0, atol=1e-12)
+        assert np.allclose(H - np.diag(np.diag(H)), 0, rtol=0, atol=1e-12)
+
