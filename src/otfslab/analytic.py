@@ -23,7 +23,9 @@ import numpy as np
 from . import specfun
 from .errors import (ConfigError, DegenerateScalesError, DomainError,
                      NoInterferenceSignal)
-from .fading import PathSpec, sample_nakagami_gains
+from .fading import PathSpec, sample_total_power
+# not called here, but kept: traced benchmark runs wrap analytic.sample_nakagami_gains
+from .fading import sample_nakagami_gains  # noqa: F401
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -396,22 +398,30 @@ def semi_analytic_mc_ber(es_n0: float, desired, interferers, mod: ModErrorParams
                          rng: np.random.Generator, trials: int = 100_000) -> tuple:
     """Monte Carlo over SINR realizations averaged through the conditional SER.
 
-    Draws per-path interference gains, forms SINR = (Es/N0)/(1 + S) per trial,
-    and averages A*Q(sqrt(2*B*SINR))/log2(M).  The printed SINR carries no
-    desired-channel fading, so `desired` participates only through validation.
-    Returns (ber, standard_error).  With no interferers the result is the
-    deterministic formula and the standard error is zero.
+    Draws the interference power S = (Es/N0) * sum_p |h_p|^2 per trial with
+    fading.sample_total_power, which consumes `rng` exactly as
+    sample_nakagami_gains would, forms SINR = (Es/N0)/(1 + S), and averages
+    A*Q(sqrt(2*B*SINR))/log2(M).  The printed SINR carries no desired-channel
+    fading, so `desired` is unused.  Returns (ber, standard_error).  With no
+    interferers the result is the deterministic formula and the standard
+    error is zero.
     """
     if trials < 10_000:
         raise ConfigError(f"semi-analytic MC needs >= 1e4 trials, got {trials}")
     flat = [p for user in interferers for p in user]
     if not flat:
         return deterministic_ber(es_n0, mod), 0.0
-    gains = sample_nakagami_gains(flat, rng, trials)
-    S = es_n0 * (np.abs(gains) ** 2).sum(axis=1)
-    snr = es_n0 / (1.0 + S)
     from scipy.special import erfc
-    cond = mod.A * 0.5 * erfc(np.sqrt(mod.B * snr)) / mod.bits_per_symbol
-    ber = float(np.mean(cond))
-    se = float(np.std(cond, ddof=1) / math.sqrt(trials))
+    # one float array, transformed in place: S, SINR, then erfc(sqrt(B SINR))
+    x = sample_total_power(flat, rng, trials)
+    x *= es_n0
+    x += 1.0
+    np.divide(es_n0, x, out=x)
+    x *= mod.B
+    np.sqrt(x, out=x)
+    erfc(x, out=x)
+    # A*Q(sqrt(2u)) = (A/2) erfc(sqrt(u)); the constant factors out of both moments
+    scale = 0.5 * mod.A / mod.bits_per_symbol
+    ber = scale * float(np.mean(x))
+    se = scale * float(np.std(x, ddof=1)) / math.sqrt(trials)
     return ber, se

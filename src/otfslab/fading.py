@@ -5,7 +5,9 @@ sampled as sqrt(Gamma) with an independent uniform phase (the isotropic
 completion; the magnitude law alone does not pin down a phase, but coherent
 detection needs one).  All sampling goes through counter-based Philox streams
 so that distinct stream ids can run concurrently and reproduce bit-identically
-regardless of scheduling.
+regardless of scheduling.  Every draw reads a stream in one order, per path a
+Gamma power and then a uniform phase, so complex gains and summed powers drawn
+from the same key see the same variates.
 """
 
 from __future__ import annotations
@@ -50,14 +52,35 @@ def make_stream(master_seed: int, *stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _path_draws(specs, rng: np.random.Generator, size: int):
+    """(power, phase) arrays of each path in turn: Gamma(m, omega/m) powers,
+    then uniform phases on [0, 2 pi)."""
+    for spec in specs:
+        power = rng.gamma(spec.m, spec.omega / spec.m, size)
+        phase = rng.uniform(0.0, 2.0 * math.pi, size)
+        yield power, phase
+
+
 def sample_nakagami_gains(specs, rng: np.random.Generator, size: int) -> np.ndarray:
     """Vectorized draw: (size, len(specs)) complex gains, one column per path."""
     out = np.empty((size, len(specs)), dtype=np.complex128)
-    for p, spec in enumerate(specs):
-        mag = np.sqrt(rng.gamma(spec.m, spec.omega / spec.m, size))
-        phase = rng.uniform(0.0, 2.0 * math.pi, size)
-        out[:, p] = mag * np.exp(1j * phase)
+    for p, (power, phase) in enumerate(_path_draws(specs, rng, size)):
+        out[:, p] = np.sqrt(power) * np.exp(1j * phase)
     return out
+
+
+def sample_total_power(specs, rng: np.random.Generator, size: int) -> np.ndarray:
+    """(size,) sums over paths of the powers |h_p|^2.
+
+    Consumes the stream exactly as sample_nakagami_gains does: each path's
+    phase is drawn and discarded, so the next path's powers, and any later
+    draw, are the same variates as there.  The sums equal those of the
+    gains' squared magnitudes to within rounding.
+    """
+    total = np.zeros(size)
+    for power, _phase in _path_draws(specs, rng, size):
+        total += power
+    return total
 
 
 def max_doppler_hz(fc_hz: float, speed_mps: float) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import signal, special
 
-from otfslab import analytic, fading, specfun
+from otfslab import analytic, cli, fading, specfun
 from otfslab.analytic import (GammaMixTerm, gamma_approx, mod_params,
                               multiuser_ber, semi_analytic_mc_ber, sinr_cdf,
                               sinr_moments, sinr_pdf, siso_ber,
@@ -352,3 +352,51 @@ class TestSemiAnalyticMc:
         exact = multiuser_ber(g, approx, mod)
         ber, se = semi_analytic_mc_ber(g, [], users, mod, make_stream(43, 0), 300_000)
         assert abs(ber - exact) < 3 * se
+
+
+def complex_gain_semi_mc(es_n0, interferers, mod, rng, trials):
+    """The semi-analytic MC through complex gains, drawn path by path as
+    a Gamma power and then a uniform phase."""
+    flat = [p for user in interferers for p in user]
+    gains = np.empty((trials, len(flat)), dtype=complex)
+    for i, spec in enumerate(flat):
+        mag = np.sqrt(rng.gamma(spec.m, spec.omega / spec.m, trials))
+        gains[:, i] = mag * np.exp(1j * rng.uniform(0.0, 2 * math.pi, trials))
+    S = es_n0 * (np.abs(gains) ** 2).sum(axis=1)
+    snr = es_n0 / (1.0 + S)
+    cond = mod.A * 0.5 * special.erfc(np.sqrt(mod.B * snr)) / mod.bits_per_symbol
+    return float(np.mean(cond)), float(np.std(cond, ddof=1) / math.sqrt(trials))
+
+
+def figure_interferer_sets():
+    """Interferer sets of the figure 3 and 4 presets, plus a mixed-shape one."""
+    sets = [cfg.interferers for number in (3, 4)
+            for cfg, _ in cli.figure_config(number, None, None, None, 1)
+            if cfg.interferers]
+    sets.append(((PathSpec(m=3, omega=0.01), PathSpec(m=1, omega=0.004, l=1)),
+                 (PathSpec(m=2, omega=0.006),)))
+    return sets
+
+
+class TestSemiAnalyticMcPowerDraw:
+    """The power draw gives the complex-gain route's BER and standard error."""
+
+    @pytest.mark.parametrize("users", figure_interferer_sets())
+    @pytest.mark.parametrize("es_n0", [1.0, 10.0, 100.0, 1000.0])
+    def test_matches_complex_gain_route(self, users, es_n0):
+        mod = mod_params("qpsk")
+        for seed in range(3):
+            ber, se = semi_analytic_mc_ber(es_n0, [], users, mod,
+                                           make_stream(44, seed), 10_000)
+            ref_ber, ref_se = complex_gain_semi_mc(es_n0, users, mod,
+                                                   make_stream(44, seed), 10_000)
+            assert ber == pytest.approx(ref_ber, rel=1e-12, abs=0)
+            assert se == pytest.approx(ref_se, rel=1e-12, abs=0)
+
+    def test_leaves_the_stream_where_the_gain_draw_does(self):
+        mod = mod_params("qpsk")
+        users = figure_interferer_sets()[-1]
+        a, b = make_stream(45, 0), make_stream(45, 0)
+        semi_analytic_mc_ber(10.0, [], users, mod, a, 10_000)
+        fading.sample_nakagami_gains([p for u in users for p in u], b, 10_000)
+        assert np.array_equal(a.random(8), b.random(8))

@@ -126,6 +126,15 @@ class TestCliCommands:
         assert presets == {"fig1-m1", "fig1-m2"}
         assert {r[7] for r in rows} == {"otfs", "ofdm"}
 
+    def test_matched_filter_note_only_on_multipath_figures(self, tmp_path):
+        texts = {}
+        for number in (1, 2):
+            out = tmp_path / f"fig{number}.csv"
+            assert main(["figure", str(number), "--out", str(out)] + fast_args()) == 0
+            texts[number] = out.read_text().splitlines()
+        assert texts[2].count(f"# {cli.MATCHED_FILTER_NOTE}") == 1
+        assert not any(cli.MATCHED_FILTER_NOTE in line for line in texts[1])
+
     def test_figure3_degeneracy_warning_in_manifest(self, tmp_path):
         out = tmp_path / "fig3.csv"
         rc = main(["figure", "3", "--out", str(out), "--frames-max", "20000"])
@@ -164,6 +173,7 @@ class TestCliCommands:
         assert rc == 0
         text = capsys.readouterr().out
         assert "otfs-p1-m1" in text and "otfs-p2-m12-analytic" in text
+        assert f"# {cli.MATCHED_FILTER_NOTE}" in text
         assert out.read_text().count("\n") == 5
 
     def test_analytic_and_sweep_columns_agree_for_cp_ofdm(self, tmp_path):

@@ -92,6 +92,59 @@ class TestGenerateChannel:
         assert not np.any(a == c)
 
 
+# P = 1, 2, 3, mixed shapes and non-integer shapes
+POWER_SPEC_SETS = {
+    "p1": (PathSpec(m=1, omega=1.0),),
+    "p2-mixed": (PathSpec(m=1, omega=2 / 3, l=0), PathSpec(m=2, omega=1 / 3, l=1)),
+    "p3-mixed": (PathSpec(m=3, omega=0.5), PathSpec(m=1, omega=0.3, l=1),
+                 PathSpec(m=2, omega=0.2, l=2)),
+    "p3-non-integer": (PathSpec(m=0.5, omega=0.2), PathSpec(m=1.5, omega=0.5, l=1),
+                       PathSpec(m=3.7, omega=0.3, l=2)),
+}
+
+
+def drawn_in_order(specs, rng, size):
+    """(powers, gains) drawn path by path: Gamma power, then uniform phase."""
+    powers, gains = [], []
+    for spec in specs:
+        power = rng.gamma(spec.m, spec.omega / spec.m, size)
+        phase = rng.uniform(0.0, 2.0 * math.pi, size)
+        powers.append(power)
+        gains.append(np.sqrt(power) * np.exp(1j * phase))
+    return np.stack(powers, axis=1), np.stack(gains, axis=1)
+
+
+class TestTotalPower:
+    """sample_total_power reads the stream exactly as sample_nakagami_gains."""
+
+    @pytest.mark.parametrize("name", sorted(POWER_SPEC_SETS))
+    def test_stream_stays_aligned(self, name):
+        specs = POWER_SPEC_SETS[name]
+        a, b = make_stream(31, 4), make_stream(31, 4)
+        fading.sample_total_power(specs, a, 257)
+        fading.sample_nakagami_gains(specs, b, 257)
+        assert np.array_equal(a.random(8), b.random(8))
+
+    @pytest.mark.parametrize("name", sorted(POWER_SPEC_SETS))
+    def test_equals_summed_squared_magnitudes(self, name):
+        specs = POWER_SPEC_SETS[name]
+        total = fading.sample_total_power(specs, make_stream(32, 1), 4096)
+        gains = fading.sample_nakagami_gains(specs, make_stream(32, 1), 4096)
+        ref = (np.abs(gains) ** 2).sum(axis=1)
+        # sqrt, cos/sin, hypot and the squares each round once: about 4 eps
+        # relative at worst (3.9 seen over 100k draws per set)
+        assert np.all(np.abs(total - ref) <= 8 * np.finfo(float).eps * ref)
+
+    @pytest.mark.parametrize("name", sorted(POWER_SPEC_SETS))
+    def test_draw_order_is_power_then_phase_per_path(self, name):
+        specs = POWER_SPEC_SETS[name]
+        powers, gains = drawn_in_order(specs, make_stream(33, 2), 1024)
+        total = fading.sample_total_power(specs, make_stream(33, 2), 1024)
+        drawn = fading.sample_nakagami_gains(specs, make_stream(33, 2), 1024)
+        assert np.array_equal(total, powers.sum(axis=1))
+        assert np.array_equal(drawn.view(np.int64), gains.view(np.int64))
+
+
 class TestEvaPlacement:
     def test_max_doppler_value(self):
         # 4 GHz carrier at 120 km/h
