@@ -37,7 +37,8 @@ TABLE3_P2_OMEGAS = (1.5838, 0.0690)   # fitted to the quoted 10/20 dB BER pair
 FIG3_INTERFERER_OMEGA = 0.015
 
 # Uncoded ML OTFS does not reach the diversity of the summed path SNRs that
-# the closed form averages over, so on multipath presets the column is a bound.
+# the closed form averages over, so on multipath SISO configs the column is a
+# bound; emit_csv labels it there.
 MATCHED_FILTER_NOTE = ("note: with more than one path, ber_analytic is the "
                        "matched-filter (full-diversity) bound over the summed "
                        "path SNRs, not a prediction of uncoded ML OTFS")
@@ -209,6 +210,8 @@ def emit_csv(curves, path, notes=(), config: SweepConfig | None = None) -> None:
             lines.append(f"# cfg {key} = {value}")
     for note in notes:
         lines.append(f"# {note}")
+    if cfg is not None and cfg.mode == "siso-waveform" and len(cfg.paths) > 1:
+        lines.append(f"# {MATCHED_FILTER_NOTE}")
     lines.append(CSV_HEADER)
     for curve in curves:
         lines.extend(curve_rows(curve))
@@ -265,7 +268,7 @@ def figure_config(number: int, seed: int | None, target_errors: int | None,
                               preset=f"fig2-m{m1}{m2}", **base)
             runs.append((cfg, [
                 f"ASSUMED per-path powers {FIG2_OMEGAS} (source leaves the "
-                f"split unspecified)", MATCHED_FILTER_NOTE]))
+                f"split unspecified)"]))
     elif number == 3:
         for k_u in (1, 2):
             interferers = () if k_u == 1 else (
@@ -435,7 +438,7 @@ def cmd_diversity(args) -> int:
 
     print(f"# diversity report (window {window[0]:g}->{window[1]:g} dB; "
           f"ASSUMED P=2 powers {TABLE3_P2_OMEGAS})")
-    print(f"# {MATCHED_FILTER_NOTE} (rows otfs-p2-m12-*)")
+    print(f"# {MATCHED_FILTER_NOTE} (row otfs-p2-m12-analytic)")
     print("config,gd_empirical,gd_approx")
     for r in reports:
         print(f"{r.config_label},{r.gd_empirical:.4f},{r.gd_approx:.4f}")
@@ -454,7 +457,7 @@ def cmd_figure(args) -> int:
     cfg0 = None
     for cfg, run_notes in runs:
         cfg0 = cfg0 or cfg
-        notes.extend(n for n in run_notes if n not in notes)
+        notes.extend(run_notes)
         if args.number in (1, 2):
             otfs, ofdm = engine.paired_comparison(
                 cfg, _progress_printer(sys.stderr) if args.verbose else None)

@@ -135,6 +135,17 @@ class TestCliCommands:
         assert texts[2].count(f"# {cli.MATCHED_FILTER_NOTE}") == 1
         assert not any(cli.MATCHED_FILTER_NOTE in line for line in texts[1])
 
+    def test_matched_filter_note_follows_the_config(self, tmp_path):
+        note = f"# {cli.MATCHED_FILTER_NOTE}"
+        paths = "path1 = 1,0.6,0\npath2 = 2,0.4,1\n"
+        cases = {"siso-p2": (paths, True), "siso-p1": ("", False),
+                 "simo-p2": (paths + "mode = simo-semianalytic\n", False)}
+        for name, (text, labeled) in cases.items():
+            cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+            cfg.write_text("snr = 0:10:20\n" + text)
+            assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 0
+            assert (note in out.read_text().splitlines()) == labeled, name
+
     def test_figure3_degeneracy_warning_in_manifest(self, tmp_path):
         out = tmp_path / "fig3.csv"
         rc = main(["figure", "3", "--out", str(out), "--frames-max", "20000"])

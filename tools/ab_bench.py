@@ -2,15 +2,16 @@
 """A/B benchmark: a parent git ref against the working tree, pair by pair.
 
     python3 tools/ab_bench.py --parent HEAD --out BENCH_5.json \\
-        --workload analytic:11-20 --workload fig1:11-15 \\
+        --workload analytic:11-20 --workload fig1:11-20 \\
         --traced analytic:11-12 --figure 3 --figure 4
 
 Run from the repository root.  The parent is extracted with ``git archive``
 into a temporary directory.  For every seed of every ``--workload`` it runs
-``perfbench/run.py --trace 0`` once from the parent and once from the
-working tree, in alternating order (the pair of the i-th seed starts with
-the parent when i is even), so that slow phases of a shared host fall on
-both sides alike.  ``--traced`` does the same with ``--trace 1``.
+``perfbench/run.py --trace 0`` for the ``run_seconds`` of
+``BENCHMARK.json``, once from the parent and once from the working tree,
+in alternating order (the pair of the i-th seed starts with the parent
+when i is even), so that slow phases of a shared host fall on both sides
+alike.  ``--traced`` does the same with ``--trace 1``.
 ``--figure N`` times ``otfslab figure N`` on both sides, alternating, and
 compares the CSV data rows.
 
@@ -178,8 +179,6 @@ def main(argv=None) -> int:
                     help="--trace 1 pairs (repeatable)")
     ap.add_argument("--figure", action="append", type=int, default=[],
                     help="time `otfslab figure N` on both sides (repeatable)")
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    ap.add_argument("--note", action="append", default=[], help="free-text note")
     args = ap.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
@@ -193,7 +192,7 @@ def main(argv=None) -> int:
                     order = side_order(i)
                     for side in order:
                         rec = bench_run(roots[side], side, workload, seed, order[0],
-                                        args.seconds, trace)
+                                        spec["run_seconds"], trace)
                         sink.append(rec)
                         print(f"{workload} seed {seed} trace {trace} {side}: "
                               f"rc {rec['rc']}", file=sys.stderr)
@@ -208,7 +207,7 @@ def main(argv=None) -> int:
 
     report = {
         "what": (f"perfbench/run.py, parent {args.parent} ({sha[:7]}) vs the working tree, "
-                 f"alternating order, --seconds {args.seconds:g}"),
+                 f"alternating order, --seconds {spec['run_seconds']:g}"),
         "host": host(),
         "summary": summarize(runs, spec["end_to_end"]),
         "traced_summary": summarize(traced, spec["per_layer"]),
@@ -216,7 +215,6 @@ def main(argv=None) -> int:
         "figure_data_rows_identical": identical,
         "runs": runs,
         "traced_runs": traced,
-        "notes": args.note,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
