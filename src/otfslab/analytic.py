@@ -405,6 +405,11 @@ def semi_analytic_mc_ber(es_n0: float, desired, interferers, mod: ModErrorParams
     fading, so `desired` is unused.  Returns (ber, standard_error).  With no
     interferers the result is the deterministic formula and the standard
     error is zero.
+
+    The engine may call this from a worker thread, several points at once.
+    It reads only `rng`, the stream its caller made for this point, and
+    allocates its own arrays, so concurrent calls on distinct streams give
+    the values serial calls give.
     """
     if trials < 10_000:
         raise ConfigError(f"semi-analytic MC needs >= 1e4 trials, got {trials}")

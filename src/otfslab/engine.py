@@ -7,11 +7,19 @@ of worker count or scheduling.  Early stopping is evaluated on batch
 boundaries; error counts merge by integer summation, and so do the squared
 per-frame error counts that feed each point's frame-clustered standard error
 ``se``, so neither depends on how batches are scheduled.
+
+Semi-analytic sweeps run their SNR points concurrently, one thread per
+usable core.  A point reads only its own stream (master seed, point index),
+its draw and its ``erfc`` release the GIL, and the curve is assembled in
+point order in the calling thread, so the pool's size and the order in which
+points finish cannot change a bit of the result.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -196,6 +204,12 @@ def run_sweep(config: SweepConfig, progress=None) -> BerCurve:
     realization; detection is exhaustive ML; bit errors use Gray-mapped
     labels.  Points stop at target_bit_errors or max_frames, whichever
     comes first (checked on batch boundaries).
+
+    In semi-analytic mode the points run concurrently on the usable cores;
+    each reads its own (seed, point) stream, so the curve is the one a
+    serial loop gives.  ``progress`` is called once per point, in point
+    order, from the calling thread in either mode, and an exception raised
+    by a point is raised here.
     """
     if config.mode == "simo-semianalytic":
         return _run_semianalytic(config, progress)
@@ -258,23 +272,38 @@ def _run_waveform(config: SweepConfig, progress=None) -> BerCurve:
                     preset=config.preset, config=config)
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_semianalytic(config: SweepConfig, progress=None) -> BerCurve:
     mod = analytic.mod_params(config.scheme, config.order)
     trials = max(config.max_frames, 10_000)
+    es_n0s = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_db]
+
+    def point(pt_idx: int) -> tuple:
+        return analytic.semi_analytic_mc_ber(
+            es_n0s[pt_idx], config.paths, config.interferers, mod,
+            make_stream(config.master_seed, pt_idx), trials)
+
     out = []
-    for pt_idx, snr_db in enumerate(config.snr_db):
-        es_n0 = 10.0 ** (snr_db / 10.0)
-        rng = make_stream(config.master_seed, pt_idx)
-        ber, se = analytic.semi_analytic_mc_ber(
-            es_n0, config.paths, config.interferers, mod, rng, trials)
-        lo = max(0.0, ber - 1.959963984540054 * se)
-        hi = min(1.0, ber + 1.959963984540054 * se)
-        out.append(BerPoint(snr_db=float(snr_db), bit_errors=0, bits=0,
-                            ber=ber, ci_low=lo, ci_high=hi,
-                            analytic_ber=analytic_reference(config, es_n0, mod),
-                            se=se))
-        if progress is not None:
-            progress(pt_idx, snr_db, trials, 0)
+    workers = max(1, min(_usable_cores(), len(es_n0s)))
+    # concurrent.futures loads its thread pool on first use, not on import
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        # map yields in point order, whatever order the points finish in
+        for pt_idx, (ber, se) in enumerate(pool.map(point, range(len(es_n0s)))):
+            snr_db, es_n0 = config.snr_db[pt_idx], es_n0s[pt_idx]
+            lo = max(0.0, ber - 1.959963984540054 * se)
+            hi = min(1.0, ber + 1.959963984540054 * se)
+            out.append(BerPoint(snr_db=float(snr_db), bit_errors=0, bits=0,
+                                ber=ber, ci_low=lo, ci_high=hi,
+                                analytic_ber=analytic_reference(config, es_n0, mod),
+                                se=se))
+            if progress is not None:
+                progress(pt_idx, snr_db, trials, 0)
     return BerCurve(points=tuple(out), waveform=config.waveform,
                     preset=config.preset, config=config)
 

@@ -8,6 +8,14 @@ so that distinct stream ids can run concurrently and reproduce bit-identically
 regardless of scheduling.  Every draw reads a stream in one order, per path a
 Gamma power and then a uniform phase, so complex gains and summed powers drawn
 from the same key see the same variates.
+
+Draws fill caller-provided buffers in place.  ``rng.standard_gamma(m, out=b)``
+followed by ``b *= omega / m`` gives the bits of ``rng.gamma(m, omega / m)``,
+whose variates are that scale times a standard Gamma variate; and
+``rng.random(out=b)`` followed by ``b *= 2 pi`` gives the bits of
+``rng.uniform(0, 2 pi)``, which is ``0 + 2 pi * random`` and reads one double
+per value, as ``random`` does.  So a power draw that only sums the powers
+needs one scratch buffer beside its result, however many paths there are.
 """
 
 from __future__ import annotations
@@ -52,20 +60,31 @@ def make_stream(master_seed: int, *stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _path_draws(specs, rng: np.random.Generator, size: int):
-    """(power, phase) arrays of each path in turn: Gamma(m, omega/m) powers,
-    then uniform phases on [0, 2 pi)."""
-    for spec in specs:
-        power = rng.gamma(spec.m, spec.omega / spec.m, size)
-        phase = rng.uniform(0.0, 2.0 * math.pi, size)
-        yield power, phase
+def _path_draws(specs, rng: np.random.Generator, power: np.ndarray,
+                phase: np.ndarray):
+    """Draw each path in turn into the given buffers: Gamma(m, omega/m)
+    powers into ``power``, then uniform phases on [0, 2 pi) into ``phase``.
+
+    Yields ``(p, "power")`` after the powers of path p and ``(p, "phase")``
+    after its phases.  A caller that reads the powers at the first yield may
+    pass one buffer as both.
+    """
+    for p, spec in enumerate(specs):
+        rng.standard_gamma(spec.m, out=power)
+        power *= spec.omega / spec.m
+        yield p, "power"
+        rng.random(out=phase)
+        phase *= 2.0 * math.pi
+        yield p, "phase"
 
 
 def sample_nakagami_gains(specs, rng: np.random.Generator, size: int) -> np.ndarray:
     """Vectorized draw: (size, len(specs)) complex gains, one column per path."""
     out = np.empty((size, len(specs)), dtype=np.complex128)
-    for p, (power, phase) in enumerate(_path_draws(specs, rng, size)):
-        out[:, p] = np.sqrt(power) * np.exp(1j * phase)
+    power, phase = np.empty(size), np.empty(size)
+    for p, drawn in _path_draws(specs, rng, power, phase):
+        if drawn == "phase":
+            out[:, p] = np.sqrt(power) * np.exp(1j * phase)
     return out
 
 
@@ -75,11 +94,14 @@ def sample_total_power(specs, rng: np.random.Generator, size: int) -> np.ndarray
     Consumes the stream exactly as sample_nakagami_gains does: each path's
     phase is drawn and discarded, so the next path's powers, and any later
     draw, are the same variates as there.  The sums equal those of the
-    gains' squared magnitudes to within rounding.
+    gains' squared magnitudes to within rounding.  Powers and discarded
+    phases share one scratch buffer, so two arrays of ``size`` are live.
     """
     total = np.zeros(size)
-    for power, _phase in _path_draws(specs, rng, size):
-        total += power
+    scratch = np.empty(size)
+    for _p, drawn in _path_draws(specs, rng, scratch, scratch):
+        if drawn == "power":
+            total += scratch
     return total
 
 

@@ -1,6 +1,7 @@
 """Summary arithmetic of the A/B benchmark script (tools/ab_bench.py)."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -79,3 +80,66 @@ def test_zero_parent_median_has_no_relative_difference():
     entry = ab_bench.summarize(runs, per_layer)["analytic"]["sweep_s"]
     assert entry["median_rel_worse"] is None
     assert "bound" not in entry
+
+
+def ten_pairs(parent, change, workload="analytic"):
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        runs += [run("parent", seed, p, 1.0 / p, workload=workload),
+                 run("change", seed, c, 1.0 / c, workload=workload)]
+    return runs
+
+
+PARENT = [1.00, 1.02, 0.98, 1.04, 0.96, 1.01, 0.99, 1.03, 0.97, 1.00]
+
+
+def test_gain_shown_needs_nine_of_ten_wins_and_a_median_beyond_the_spread():
+    # parent q3 - q1 = 0.035; every change run 0.4 faster
+    s = ab_bench.summarize(ten_pairs(PARENT, [p - 0.4 for p in PARENT]), METRICS)["analytic"]
+    assert s["pairs_run"] == 10
+    assert s["sweep_s"]["gain_shown"] and s["frames_per_s"]["gain_shown"]
+    # nine wins of ten still shows the gain; eight does not
+    nine = [p - 0.4 for p in PARENT[:9]] + [PARENT[9] + 0.1]
+    assert ab_bench.summarize(ten_pairs(PARENT, nine), METRICS)["analytic"]["sweep_s"]["gain_shown"]
+    eight = [p - 0.4 for p in PARENT[:8]] + [p + 0.1 for p in PARENT[8:]]
+    assert not ab_bench.summarize(ten_pairs(PARENT, eight), METRICS)["analytic"]["sweep_s"]["gain_shown"]
+
+
+def test_gain_shown_is_false_inside_the_parent_spread_or_when_worse():
+    # ten wins, but by 0.01 against a parent quartile spread of 0.035
+    close = ab_bench.summarize(ten_pairs(PARENT, [p - 0.01 for p in PARENT]), METRICS)
+    assert close["analytic"]["sweep_s"]["change_wins"] == 10
+    assert not close["analytic"]["sweep_s"]["gain_shown"]
+    worse = ab_bench.summarize(ten_pairs(PARENT, [p + 0.4 for p in PARENT]), METRICS)
+    assert not worse["analytic"]["sweep_s"]["gain_shown"]
+    assert not worse["analytic"]["frames_per_s"]["gain_shown"]
+
+
+def test_a_failed_pair_counts_against_the_gain():
+    # nine clear wins, but the tenth pair's change failed: 9 of 10 run
+    runs = ten_pairs(PARENT, [p - 0.4 for p in PARENT])
+    runs[-1]["rc"] = 1
+    s = ab_bench.summarize(runs, METRICS)["analytic"]
+    assert (s["pairs"], s["pairs_run"]) == (9, 10)
+    assert s["sweep_s"]["gain_shown"]
+    # two failed pairs leave eight wins of ten run
+    runs[-3]["rc"] = 1
+    assert not ab_bench.summarize(runs, METRICS)["analytic"]["sweep_s"]["gain_shown"]
+
+
+def test_inclusive_seconds_per_sweep_from_a_span_dump(tmp_path):
+    # spans are [name, start, end, parent, child time]; parents may be wrong
+    # when hooks run on worker threads, so only the intervals are read
+    spans = [["bench.sweep", 0.0, 1.0, -1, 0.0],
+             ["engine.run_sweep", 0.1, 0.7, 0, 0.0],
+             ["analytic.semi_mc", 0.2, 0.6, 1, 0.0],
+             ["analytic.semi_mc", 0.3, 0.5, 2, 0.0],
+             ["bench.sweep", 2.0, 3.0, -1, 0.0],
+             ["engine.run_sweep", 2.1, 2.5, 4, 0.0],
+             ["check", 4.0, 9.0, -1, 0.0]]
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"counts": {}, "peaks": {}, "spans": spans}))
+    got = ab_bench.inclusive_per_sweep(str(path))
+    assert got.keys() == {"engine.run_sweep", "analytic.semi_mc"}
+    assert got["engine.run_sweep"] == pytest.approx(0.5)
+    assert got["analytic.semi_mc"] == pytest.approx(0.3)

@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from otfslab import analytic, engine, kernels, modem
+from otfslab import analytic, cli, engine, kernels, modem
 from otfslab.engine import BerCurve, SweepConfig, run_sweep, wilson_interval
 from otfslab.errors import CapacityError, ConfigError
 from otfslab.fading import PathSpec, make_stream, sample_nakagami_gains
@@ -205,6 +208,51 @@ class TestPairedComparison:
             run_sweep(cfg)
 
 
+def semianalytic_configs():
+    """fig3-ku2, fig4-m2-ku2 and an unequal mixed interferer set, at 20k trials."""
+    (_, _), (fig3, _) = cli.figure_config(3, None, None, 20_000, 1)
+    (_, _), (fig4, _) = cli.figure_config(4, None, None, 20_000, 1)
+    mixed = dataclasses.replace(
+        fig3, preset="mixed",
+        interferers=((PathSpec(m=1, omega=0.01),),
+                     (PathSpec(m=3, omega=0.004, l=1),)))
+    return {"fig3-ku2": fig3, "fig4-m2-ku2": fig4, "mixed": mixed}
+
+
+def serial_rows(cfg):
+    """(ber, se, ci_low, ci_high, analytic_ber) per point from a plain loop."""
+    mod = analytic.mod_params(cfg.scheme, cfg.order)
+    trials = max(cfg.max_frames, 10_000)
+    rows = []
+    for pt_idx, snr_db in enumerate(cfg.snr_db):
+        es_n0 = 10.0 ** (snr_db / 10.0)
+        ber, se = analytic.semi_analytic_mc_ber(
+            es_n0, cfg.paths, cfg.interferers, mod,
+            make_stream(cfg.master_seed, pt_idx), trials)
+        rows.append((ber, se, max(0.0, ber - 1.959963984540054 * se),
+                     min(1.0, ber + 1.959963984540054 * se),
+                     engine.analytic_reference(cfg, es_n0, mod)))
+    return rows
+
+
+def curve_rows(curve):
+    return [(p.ber, p.se, p.ci_low, p.ci_high, p.analytic_ber) for p in curve.points]
+
+
+@pytest.fixture
+def late_first_points(monkeypatch):
+    """Make earlier points finish later: the point at 2i dB sleeps
+    (11 - i) * 3 ms before its draw, so a pool completes the points of a
+    0..20 dB sweep in reverse order."""
+    original = analytic.semi_analytic_mc_ber
+
+    def staggered(es_n0, *args, **kwargs):
+        time.sleep(3e-3 * (11.0 - 5.0 * math.log10(es_n0)))
+        return original(es_n0, *args, **kwargs)
+
+    monkeypatch.setattr(analytic, "semi_analytic_mc_ber", staggered)
+
+
 class TestSemiAnalyticMode:
     def test_simo_rows_have_no_bit_counts(self):
         cfg = SweepConfig(grid=OtfsGrid(M=2, N=2), scheme="qpsk", order=4,
@@ -245,6 +293,63 @@ class TestSemiAnalyticMode:
         expected = 2.0 * specfun.q_function(math.sqrt(2 * 0.5 * 10.0)) / 2.0
         assert curve.points[0].ber == pytest.approx(expected, abs=0)
         assert curve.points[0].analytic_ber == pytest.approx(expected, abs=0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    @pytest.mark.parametrize("name", sorted(semianalytic_configs()))
+    def test_pool_equals_serial_loop_bit_for_bit(self, monkeypatch, late_first_points,
+                                                 name, workers):
+        cfg = semianalytic_configs()[name]
+        want = serial_rows(cfg)
+        monkeypatch.setattr(engine, "_usable_cores", lambda: workers)
+        got = curve_rows(run_sweep(cfg))
+        assert np.array_equal(np.array(got).view(np.int64),
+                              np.array(want).view(np.int64))
+
+    def test_pool_size_follows_usable_cores_and_points(self, monkeypatch):
+        cfg = semianalytic_configs()["fig3-ku2"]
+        sizes = []
+        original = engine.concurrent.futures.ThreadPoolExecutor
+
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return original(max_workers=max_workers)
+
+        monkeypatch.setattr(engine.concurrent.futures, "ThreadPoolExecutor", recording)
+        for cores in (1, 2, 64):
+            monkeypatch.setattr(engine, "_usable_cores", lambda c=cores: c)
+            run_sweep(cfg)
+        assert sizes == [1, 2, len(cfg.snr_db)]
+
+    def test_progress_once_per_point_in_order_from_caller(self, monkeypatch,
+                                                          late_first_points):
+        monkeypatch.setattr(engine, "_usable_cores", lambda: 4)
+        cfg = semianalytic_configs()["fig4-m2-ku2"]
+        seen = []
+        run_sweep(cfg, progress=lambda pt, snr, n, e: seen.append(
+            (pt, snr, n, e, threading.get_ident())))
+        caller = threading.get_ident()
+        assert seen == [(pt, snr, 20_000, 0, caller)
+                        for pt, snr in enumerate(cfg.snr_db)]
+
+    def test_a_raising_point_propagates(self, monkeypatch):
+        monkeypatch.setattr(engine, "_usable_cores", lambda: 2)
+        cfg = semianalytic_configs()["fig3-ku2"]
+        original = analytic.semi_analytic_mc_ber
+        bad = 10.0 ** (cfg.snr_db[3] / 10.0)
+
+        def raising(es_n0, *args, **kwargs):
+            if es_n0 == bad:
+                raise RuntimeError("point 3")
+            return original(es_n0, *args, **kwargs)
+
+        monkeypatch.setattr(analytic, "semi_analytic_mc_ber", raising)
+        seen = []
+        with pytest.raises(RuntimeError, match="point 3"):
+            run_sweep(cfg, progress=lambda pt, *rest: seen.append(pt))
+        assert seen == [0, 1, 2]
+
+    def test_usable_cores_is_a_positive_count(self):
+        assert 1 <= engine._usable_cores() <= (os.cpu_count() or 1)
 
 
 class TestConfigValidation:

@@ -1,6 +1,7 @@
 """Nakagami-m sampling statistics, EVA placement, and stream determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,19 @@ class TestTotalPower:
         drawn = fading.sample_nakagami_gains(specs, make_stream(33, 2), 1024)
         assert np.array_equal(total, powers.sum(axis=1))
         assert np.array_equal(drawn.view(np.int64), gains.view(np.int64))
+
+
+    def test_draws_in_place(self):
+        # the sums and one scratch buffer: a draw that allocated per path
+        # (powers, then phases, beside the sums) peaks at five arrays
+        size = 200_000
+        tracemalloc.start()
+        try:
+            fading.sample_total_power(POWER_SPEC_SETS["p3-mixed"], make_stream(34, 0), size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * size
 
 
 class TestEvaPlacement:

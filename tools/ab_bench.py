@@ -11,15 +11,21 @@ into a temporary directory.  For every seed of every ``--workload`` it runs
 ``BENCHMARK.json``, once from the parent and once from the working tree,
 in alternating order (the pair of the i-th seed starts with the parent
 when i is even), so that slow phases of a shared host fall on both sides
-alike.  ``--traced`` does the same with ``--trace 1``.
+alike.  ``--traced`` does the same with ``--trace 1`` and also records, from
+each side's span dump, the inclusive seconds per traced sweep of every span
+name: unlike self time, that reading does not depend on which span a
+benchmark hook took as a parent.
 ``--figure N`` times ``otfslab figure N`` on both sides, alternating, and
-compares the CSV data rows.
+compares the CSV data rows; each record has wall and CPU seconds, which
+differ when the program or its BLAS runs threads.
 
 The JSON written to ``--out`` holds every run and, per workload and metric
 listed in ``BENCHMARK.json``, the median and quartiles of each side, the
-pairs the change wins and loses, and ``median_rel_worse``: how much worse
+pairs the change wins and loses, ``median_rel_worse``: how much worse
 the change's median is than the parent's, relative to it (negative when
-better), next to the metric's bound.
+better), next to the metric's bound, and ``gain_shown``: whether the change
+wins at least nine tenths of the pairs run and its median is better than
+the parent's by more than the parent's quartile spread.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 900
 FIGURE_REPEATS = 2
 FIGURE_MAIN = "import sys; from otfslab.cli import main; sys.exit(main(sys.argv[1:]))"
+GAIN_WIN_SHARE = 0.9
+SWEEP_SPAN = "bench.sweep"   # the span perfbench/run.py opens around each sweep
 
 
 def parse_seeds(text: str) -> list:
@@ -76,11 +84,22 @@ def quartiles(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def gain_shown(entry: dict, pairs_run: int, sign: float) -> bool:
+    """The change wins at least GAIN_WIN_SHARE of the pairs run (a pair with
+    a failed side or a tie wins nothing) and its median beats the parent's
+    by more than the parent's q3 - q1 (``sign`` is 1 when lower is better,
+    -1 when higher is)."""
+    parent = entry["parent"]
+    margin = sign * (parent["median"] - entry["change"]["median"])
+    return (entry["change_wins"] >= GAIN_WIN_SHARE * pairs_run
+            and margin > parent["q3"] - parent["q1"])
+
+
 def summarize(runs, metrics) -> dict:
     """Per workload and metric: both sides' quartiles, wins and losses of the
-    change over the pairs where both sides succeeded, and the relative
+    change over the pairs where both sides succeeded, the relative
     difference of the medians (positive when the change is worse; None
-    when the parent's median is 0).
+    when the parent's median is 0), and ``gain_shown`` over all pairs run.
 
     ``runs`` are run records with side, workload, seed, rc and a flat
     ``metrics`` dict; ``metrics`` are BENCHMARK.json entries (name, better
@@ -92,7 +111,8 @@ def summarize(runs, metrics) -> dict:
                         and (w, s, "change") in by_key})
         if not seeds:
             continue
-        entry = {"pairs": len(seeds), "seeds": seeds}
+        pairs_run = len({r["seed"] for r in runs if r["workload"] == workload})
+        entry = {"pairs": len(seeds), "pairs_run": pairs_run, "seeds": seeds}
         for m in metrics:
             name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
             pairs = [(by_key[workload, s, "parent"]["metrics"][name],
@@ -106,6 +126,7 @@ def summarize(runs, metrics) -> dict:
                 "change_losses": sum(sign * (c - p) > 0 for p, c in pairs),
                 "median_rel_worse": sign * (change["median"] - base) / abs(base) if base else None,
             }
+            entry[name]["gain_shown"] = gain_shown(entry[name], pairs_run, sign)
             if "bound" in m:
                 entry[name]["bound"] = m["bound"]
         out[workload] = entry
@@ -123,6 +144,19 @@ def extract(ref: str, dest: str) -> str:
     return sha
 
 
+def inclusive_per_sweep(dump_path: str) -> dict:
+    """Seconds per traced sweep spent inside each span name, children
+    included, over the spans that start inside a sweep."""
+    with open(dump_path, encoding="utf-8") as fh:
+        spans = json.load(fh)["spans"]
+    sweeps = [(t0, t1) for name, t0, t1, *_ in spans if name == SWEEP_SPAN]
+    totals = {}
+    for name, t0, t1, *_ in spans:
+        if name != SWEEP_SPAN and any(s0 <= t0 <= s1 for s0, s1 in sweeps):
+            totals[name] = totals.get(name, 0.0) + t1 - t0
+    return {name: t / len(sweeps) for name, t in totals.items()}
+
+
 def bench_run(root: str, side: str, workload: str, seed: int, first: str,
               seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -138,11 +172,15 @@ def bench_run(root: str, side: str, workload: str, seed: int, first: str,
     rec["metrics"] = {k: v["value"] for k, v in last["metrics"].items()}
     rec.update(correct=last["correct"], failed=last["failed"],
                attempted=last["attempted"])
+    if trace:
+        rec["inclusive_s_per_sweep"] = inclusive_per_sweep(os.path.join(
+            root, ".perfbench-out", f"trace-{workload}-seed{seed}.json"))
     return rec
 
 
 def figure_run(root: str, side: str, number: int, csv_path: str) -> dict:
-    """Wall time and peak RSS of one `otfslab figure N` in its own process."""
+    """Wall and CPU seconds and peak RSS of one `otfslab figure N` in its own
+    process."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     cmd = [sys.executable, "-c", FIGURE_MAIN, "figure", str(number), "--out", csv_path]
     t0 = perf_counter()
@@ -152,7 +190,8 @@ def figure_run(root: str, side: str, number: int, csv_path: str) -> dict:
     wall = perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)
     return {"command": f"otfslab figure {number}", "side": side, "rc": proc.returncode,
-            "wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss * 1024 / 1e6, 1)}
+            "wall_s": round(wall, 3), "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
+            "peak_rss_mb": round(usage.ru_maxrss * 1024 / 1e6, 1)}
 
 
 def data_rows(path: str) -> list:
@@ -163,7 +202,8 @@ def data_rows(path: str) -> list:
 def host() -> str:
     mem_gb = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2 ** 30
     import numpy
-    return (f"{os.cpu_count()} cores, {mem_gb:.0f} GB, {platform.system()}, "
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else "?"
+    return (f"{os.cpu_count()} cores ({usable} usable), {mem_gb:.0f} GB, {platform.system()}, "
             f"python {platform.python_version()}, numpy {numpy.__version__}")
 
 
