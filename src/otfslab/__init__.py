@@ -1,7 +1,7 @@
 """otfslab: link-level OTFS/OFDM laboratory over Nakagami-m fading.
 
 Waveform simulation with exhaustive ML detection, closed-form BER analysis
-(Gamma-mixture single-user machinery and moment-matched multi-user SINR
+(Craig/MGF-form single-user error rates and moment-matched multi-user SINR
 statistics), Monte Carlo sweeps with deterministic counter-based randomness,
 and diversity-slope estimation.
 """

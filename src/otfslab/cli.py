@@ -83,11 +83,15 @@ def _parse_path(text: str) -> PathSpec:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) < 2:
         raise ConfigError(f"path spec needs at least 'm,omega', got {text!r}")
-    m = int(parts[0])
-    omega = float(parts[1])
-    l = int(parts[2]) if len(parts) > 2 else 0
-    k = int(parts[3]) if len(parts) > 3 else 0
-    kappa = float(parts[4]) if len(parts) > 4 else 0.0
+    try:
+        # an integer shape stays int, so its manifests read back unchanged
+        m = int(parts[0]) if parts[0].lstrip("+-").isdigit() else float(parts[0])
+        omega = float(parts[1])
+        l = int(parts[2]) if len(parts) > 2 else 0
+        k = int(parts[3]) if len(parts) > 3 else 0
+        kappa = float(parts[4]) if len(parts) > 4 else 0.0
+    except ValueError as e:
+        raise ConfigError(f"malformed path spec {text!r}: {e}") from e
     return PathSpec(m=m, omega=omega, l=l, k=k, kappa=kappa)
 
 

@@ -38,14 +38,14 @@ EVA_POWERS_DB = (0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9)
 class PathSpec:
     """One propagation path: Nakagami shape, mean power, grid placement."""
 
-    m: int                 # Nakagami shape (integer for the analytic machinery)
+    m: float               # Nakagami shape
     omega: float           # mean power E[|h|^2]
     l: int = 0             # delay bin
     k: int = 0             # Doppler bin
     kappa: float = 0.0     # fractional Doppler offset
 
     def __post_init__(self):
-        if self.m < 0.5:
+        if not (math.isfinite(self.m) and self.m >= 0.5):
             raise DomainError(f"Nakagami shape must be >= 0.5, got {self.m}")
         if not (math.isfinite(self.omega) and self.omega > 0):
             raise DomainError(f"path power must be finite and positive, got {self.omega}")

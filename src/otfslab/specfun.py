@@ -138,16 +138,6 @@ def reg_upper_incomplete_gamma(s: float, x: float) -> float:
     return _reg_upper_contfrac(s, x)
 
 
-def lower_incomplete_gamma(s: float, x: float) -> float:
-    """gamma(s, x), unregularized."""
-    return reg_lower_incomplete_gamma(s, x) * math.exp(math.lgamma(s))
-
-
-def upper_incomplete_gamma(s: float, x: float) -> float:
-    """Gamma(s, x), unregularized."""
-    return reg_upper_incomplete_gamma(s, x) * math.exp(math.lgamma(s))
-
-
 # ---------------------------------------------------------------------------
 # Quadrature on [0, inf).
 # ---------------------------------------------------------------------------

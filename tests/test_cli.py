@@ -9,6 +9,7 @@ import pytest
 
 import otfslab
 from otfslab import cli
+from otfslab.analytic import mod_params
 from otfslab.cli import (CSV_HEADER, config_from_kv, config_to_kv, emit_csv,
                          main, parse_config_text, parse_csv_rows)
 from otfslab.engine import SweepConfig, run_sweep
@@ -31,6 +32,24 @@ class TestConfigFormat:
         back = config_from_kv(parse_config_text(
             "\n".join(f"{k} = {v}" for k, v in config_to_kv(cfg).items())))
         assert back == cfg
+
+    def test_round_trip_non_integer_shapes(self):
+        cfg = SweepConfig(grid=OtfsGrid(M=2, N=2), scheme="qpsk", order=4,
+                          paths=(PathSpec(m=1.5, omega=0.6, l=0),
+                                 PathSpec(m=2, omega=0.4, l=1)),
+                          snr_db=(0.0, 10.0),
+                          interferers=((PathSpec(m=2.5, omega=0.015),),))
+        kv = config_to_kv(cfg)
+        assert kv["path1"].startswith("1.5,") and kv["path2"].startswith("2,")
+        back = config_from_kv(parse_config_text(
+            "\n".join(f"{k} = {v}" for k, v in kv.items())))
+        assert back == cfg
+        assert type(back.paths[1].m) is int
+
+    @pytest.mark.parametrize("text", ["1.5x,1.0", "2,one", "2,1.0,0.5", "2,1.0,0,1,x"])
+    def test_malformed_path_numbers_rejected(self, text):
+        with pytest.raises(ConfigError, match="malformed path spec"):
+            config_from_kv({"path1": text})
 
     def test_unknown_key_is_hard_error(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -162,13 +181,22 @@ class TestCliCommands:
         cfg.write_text("grid_mm = 2\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
 
-    def test_degenerate_scales_exit_2(self, tmp_path, capsys):
-        cfg = tmp_path / "dup.cfg"
-        cfg.write_text("scheme = qpsk\npath1 = 1,0.5,0\npath2 = 1,0.5,1\n")
-        rc = main(["analytic", "--config", str(cfg), "--snr", "0:10:10",
-                   "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
-        assert "scales" in capsys.readouterr().err
+    @pytest.mark.parametrize("paths", [
+        pytest.param("path1 = 1,0.5,0\npath2 = 1,0.5,1\n", id="equal-powers"),
+        pytest.param("path1 = 1.5,0.6,0\npath2 = 1.5,0.4,1\n", id="m1.5"),
+    ])
+    def test_analytic_matches_the_oracle(self, tmp_path, craig_oracle, paths):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scheme = qpsk\nsnr = 0:10:30\n" + paths)
+        out = tmp_path / "c.csv"
+        assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 0
+        specs = config_from_kv(parse_config_text(cfg.read_text())).paths
+        mod = mod_params("qpsk")
+        rows = parse_csv_rows(out)
+        assert len(rows) == 4
+        for row in rows:
+            ref = craig_oracle(10.0 ** (float(row[0]) / 10.0), specs, mod)
+            assert row[4] == f"{ref:.6e}"
 
     def test_capacity_error_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"

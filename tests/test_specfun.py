@@ -37,12 +37,12 @@ class TestLnGamma:
 class TestIncompleteGamma:
     def test_zero_argument_gives_complete_gamma(self):
         for m in (1, 2, 3, 4.5):
-            assert abs(specfun.upper_incomplete_gamma(m, 0.0)
-                       - math.exp(math.lgamma(m))) < 1e-12 * math.exp(math.lgamma(m))
+            assert specfun.reg_upper_incomplete_gamma(m, 0.0) == 1.0
+            assert specfun.reg_lower_incomplete_gamma(m, 0.0) == 0.0
 
     def test_shape_one_is_exponential_tail(self):
         for x in (0.1, 1.0, 5.0, 30.0):
-            assert abs(specfun.upper_incomplete_gamma(1.0, x) - math.exp(-x)) \
+            assert abs(specfun.reg_upper_incomplete_gamma(1.0, x) - math.exp(-x)) \
                 <= 1e-13 * math.exp(-x) + 1e-300
 
     def test_integer_shape_finite_sum_identity(self):
@@ -51,7 +51,7 @@ class TestIncompleteGamma:
         oracle = specfun.integrate_semi_infinite(
             lambda u: (u + 2.0) ** 2 * math.exp(-(u + 2.0)))
         assert abs(oracle - expected) < 1e-10
-        assert abs(specfun.upper_incomplete_gamma(3.0, 2.0) - expected) < 1e-12
+        assert abs(2.0 * specfun.reg_upper_incomplete_gamma(3.0, 2.0) - expected) < 1e-12
 
     def test_lower_plus_upper_is_complete(self):
         rng = np.random.default_rng(1234)
@@ -71,11 +71,11 @@ class TestIncompleteGamma:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            specfun.upper_incomplete_gamma(-1.0, 1.0)
+            specfun.reg_upper_incomplete_gamma(-1.0, 1.0)
         with pytest.raises(DomainError):
-            specfun.upper_incomplete_gamma(1.0, -0.5)
+            specfun.reg_upper_incomplete_gamma(1.0, -0.5)
         with pytest.raises(DomainError):
-            specfun.lower_incomplete_gamma(0.0, 1.0)
+            specfun.reg_lower_incomplete_gamma(0.0, 1.0)
 
 
 class TestQFunction:
