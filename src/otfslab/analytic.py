@@ -10,10 +10,12 @@ real shapes and any path powers.  The paper's Gamma-mixture density of
 the same sum (xi_coefficients, erlang_pdf, mixture_pdf) is kept as printed,
 for integer shapes and distinct scales.
 
-Multi-user path: aggregate interference power is moment-matched to a Gamma
-variate; the SINR tail statistics feed the single-integral SER representation
-evaluated in specfun, and a semi-analytic Monte Carlo estimates the same
-average from drawn interference powers.
+Multi-user path: the aggregate interference power S is moment-matched to a
+Gamma(m_z, omega_z) variate.  multiuser_ber averages A*Q(sqrt(2 B SINR)) with
+SINR = (Es/N0) / (1 + S) through specfun.erfc_gamma_average, the same
+average behind the paper's Meijer-G form (multiuser_ber_paper_form), and
+semi_analytic_mc_ber estimates it from drawn interference powers.  The SINR
+distribution and density (sinr_cdf, sinr_pdf) are kept as printed.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
 from . import specfun
 from .errors import (ConfigError, DegenerateScalesError, DomainError,
@@ -314,7 +317,7 @@ def sinr_cdf(y: float, es_n0: float, approx: SinrGammaApprox) -> float:
     if not (0.0 < y <= es_n0):
         raise DomainError(f"y must lie in (0, Es/N0] = (0, {es_n0}], got {y}")
     arg = (es_n0 / y - 1.0) / approx.omega_z
-    return specfun.reg_lower_incomplete_gamma(approx.m_z, arg)
+    return float(special.gammainc(approx.m_z, arg))
 
 
 def sinr_pdf(y: float, es_n0: float, approx: SinrGammaApprox) -> float:
@@ -330,40 +333,31 @@ def sinr_pdf(y: float, es_n0: float, approx: SinrGammaApprox) -> float:
     return math.exp(log_pdf)
 
 
-def multiuser_ber(es_n0: float, approx: SinrGammaApprox, mod: ModErrorParams,
-                  method: str = "kernel") -> float:
+def multiuser_ber(es_n0: float, approx: SinrGammaApprox,
+                  mod: ModErrorParams) -> float:
     """Average BER with SINR = (Es/N0)/(1 + S), S ~ Gamma(m_z, omega_z).
 
-    "kernel" routes through the specfun single-integral SER evaluator (the
-    same machinery behind the Meijer-G closed form, with the unit noise floor
-    restored); "quadrature" independently averages the conditional SER over
-    the normalized interference density.  The two agree to quadrature
-    tolerance and the semi-analytic Monte Carlo estimates the same quantity.
+    Writing S = omega_z W with W ~ Gamma(m_z, 1), the SER is
+
+        (A/2) E_W[erfc(sqrt(B x / (1/omega_z + W)))],  x = (Es/N0) / omega_z,
+
+    which specfun.erfc_gamma_average evaluates with shift = 1/omega_z and
+    b = B, to its relative tolerance specfun.GAMMA_AVERAGE_RTOL, for any
+    m_z > 0, omega_z > 0 and Es/N0 > 0; its docstring gives the domain
+    held against the mpmath oracle.  The semi-analytic Monte Carlo
+    estimates the same quantity.  Raises NoInterferenceSignal for a
+    degenerate model, and NumericError when the average does not converge,
+    falls below the double range, or leaves [0, A/2] by more than the
+    tolerance (an overshoot inside it reads A/2).
     """
     if approx.m_z <= 0 or approx.omega_z <= 0:
         raise NoInterferenceSignal("degenerate interference model")
-    A, B = mod.A, mod.B
-    x = es_n0 / approx.omega_z
-    if method == "kernel":
-        kernel = specfun.gamma_tail_ser_integral(
-            x, approx.m_z, b=B, shift=1.0 / approx.omega_z)
-        ser = 0.5 * A * kernel
-    elif method == "quadrature":
-        m_z, oz = approx.m_z, approx.omega_z
-
-        def integrand(s: float) -> float:
-            if s <= 0.0:
-                return 0.0
-            snr = es_n0 / (1.0 + oz * s)
-            cond = A * specfun.q_function(math.sqrt(2.0 * B * snr))
-            return cond * math.exp((m_z - 1.0) * math.log(s) - s - math.lgamma(m_z))
-
-        ser = specfun.integrate_semi_infinite(integrand)
-    else:
-        raise DomainError(f"unknown method {method!r}")
+    A = mod.A
+    ser = 0.5 * A * specfun.erfc_gamma_average(
+        es_n0 / approx.omega_z, approx.m_z, b=mod.B, shift=1.0 / approx.omega_z)
     # the SER lies in [0, A*Q(0)] = [0, A/2]: an estimate past A/2 within the
     # quadrature tolerance is that bound, one past it by more a failed evaluation
-    if not 0.0 <= ser <= 0.5 * A * (1.0 + specfun.KERNEL_QUAD.rel_tol):
+    if not 0.0 <= ser <= 0.5 * A * (1.0 + specfun.GAMMA_AVERAGE_RTOL):
         raise NumericError(f"multi-user SER outside [0, A/2] = [0, {0.5 * A:g}]", ser)
     return min(ser, 0.5 * A) / mod.bits_per_symbol
 
@@ -408,7 +402,6 @@ def semi_analytic_mc_ber(es_n0: float, desired, interferers, mod: ModErrorParams
     flat = [p for user in interferers for p in user]
     if not flat:
         return deterministic_ber(es_n0, mod), 0.0
-    from scipy.special import erfc
     # one float array, transformed in place: S, SINR, then erfc(sqrt(B SINR))
     x = sample_total_power(flat, rng, trials)
     x *= es_n0
@@ -416,7 +409,7 @@ def semi_analytic_mc_ber(es_n0: float, desired, interferers, mod: ModErrorParams
     np.divide(es_n0, x, out=x)
     x *= mod.B
     np.sqrt(x, out=x)
-    erfc(x, out=x)
+    special.erfc(x, out=x)
     # A*Q(sqrt(2u)) = (A/2) erfc(sqrt(u)); the constant factors out of both moments
     scale = 0.5 * mod.A / mod.bits_per_symbol
     ber = scale * float(np.mean(x))

@@ -42,6 +42,10 @@ FIG3_INTERFERER_OMEGA = 0.015
 MATCHED_FILTER_NOTE = ("note: with more than one path, ber_analytic is the "
                        "matched-filter (full-diversity) bound over the summed "
                        "path SNRs, not a prediction of uncoded ML OTFS")
+# A semi-analytic config without interferers has a deterministic SINR.
+INTERFERENCE_FREE_NOTE = ("warning: interference-free preset; points use the "
+                          "deterministic conditional-error formula "
+                          "A*Q(sqrt(2*B*EsN0))/log2(M)")
 
 
 # ---------------------------------------------------------------------------
@@ -95,23 +99,41 @@ def _parse_path(text: str) -> PathSpec:
     return PathSpec(m=m, omega=omega, l=l, k=k, kappa=kappa)
 
 
+def _parse_snr_list(text: str) -> tuple:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError as e:
+        raise ConfigError(f"malformed snr list {text!r}: {e}") from e
+
+
 def _parse_snr(text: str) -> tuple:
-    if ":" in text:
+    if ":" not in text:
+        return _parse_snr_list(text)
+    try:
         start, step, stop = (float(v) for v in text.split(":"))
-        if step <= 0:
-            raise ConfigError(f"snr step must be positive, got {step}")
-        out = []
-        v = start
-        while v <= stop + 1e-9:
-            out.append(round(v, 9))
-            v += step
-        return tuple(out)
-    return tuple(float(v) for v in text.split(","))
+    except ValueError as e:
+        raise ConfigError(f"malformed snr range {text!r}: {e}") from e
+    if step <= 0:
+        raise ConfigError(f"snr step must be positive, got {step}")
+    out = []
+    v = start
+    while v <= stop + 1e-9:
+        out.append(round(v, 9))
+        v += step
+    return tuple(out)
 
 
 def config_from_kv(kv: dict) -> SweepConfig:
-    grid = OtfsGrid(M=int(kv.get("grid_m", 2)), N=int(kv.get("grid_n", 2)),
-                    delta_f=float(kv.get("delta_f_hz", 15e3)))
+    def number(key, default, kind=int):
+        if key not in kv:
+            return default
+        try:
+            return kind(kv[key])
+        except ValueError as e:
+            raise ConfigError(f"malformed {key} {kv[key]!r}: {e}") from e
+
+    grid = OtfsGrid(M=number("grid_m", 2), N=number("grid_n", 2),
+                    delta_f=number("delta_f_hz", 15e3, float))
     paths = []
     for i in range(1, 33):
         key = f"path{i}"
@@ -121,10 +143,12 @@ def config_from_kv(kv: dict) -> SweepConfig:
         if paths:
             raise ConfigError("give either explicit paths or an eva directive, not both")
         parts = [v.strip() for v in kv["eva"].split(",")]
-        P, fc_hz, speed_mps = int(parts[0]), float(parts[1]), float(parts[2])
-        seed = int(kv.get("seed", 1))
+        try:
+            P, fc_hz, speed_mps = int(parts[0]), float(parts[1]), float(parts[2])
+        except (ValueError, IndexError) as e:
+            raise ConfigError(f"malformed eva directive {kv['eva']!r}: {e}") from e
         paths = list(eva_grid_placement(grid, fc_hz, speed_mps, P,
-                                        make_stream(seed, 0xE7A)))
+                                        make_stream(number("seed", 1), 0xE7A)))
     if not paths:
         paths = [PathSpec(m=1, omega=1.0)]
     interferers = []
@@ -134,22 +158,22 @@ def config_from_kv(kv: dict) -> SweepConfig:
             interferers.append(tuple(_parse_path(chunk)
                                      for chunk in kv[key].split(";")))
     snr = _parse_snr(kv["snr"]) if "snr" in kv else \
-        tuple(float(v) for v in kv["snr_list"].split(",")) if "snr_list" in kv else \
+        _parse_snr_list(kv["snr_list"]) if "snr_list" in kv else \
         tuple(float(s) for s in range(0, 21, 2))
     scheme = kv.get("scheme", "bpsk")
     default_order = {"bpsk": 2, "qpsk": 4}.get(scheme)
     return SweepConfig(
         grid=grid, scheme=scheme,
-        order=int(kv["order"]) if "order" in kv else (default_order or 2),
+        order=number("order", default_order or 2),
         paths=tuple(paths),
         snr_db=snr,
-        max_frames=int(kv.get("max_frames", 10_000_000)),
-        target_bit_errors=int(kv.get("target_errors", 200)),
-        master_seed=int(kv.get("seed", 1)),
+        max_frames=number("max_frames", 10_000_000),
+        target_bit_errors=number("target_errors", 200),
+        master_seed=number("seed", 1),
         waveform=kv.get("waveform", "otfs"),
         mode=kv.get("mode", "siso-waveform"),
         interferers=tuple(interferers),
-        workers=int(kv.get("workers", 1)),
+        workers=number("workers", 1),
         ofdm_chain=kv.get("ofdm_chain", "cp"),
         preset=kv.get("preset", "custom"),
     )
@@ -285,9 +309,7 @@ def figure_config(number: int, seed: int | None, target_errors: int | None,
                               **{**base, "max_frames": min(mf, 200_000)})
             notes = []
             if k_u == 1:
-                notes.append("warning: interference-free preset; points use "
-                             "the deterministic conditional-error formula "
-                             "A*Q(sqrt(2*B*EsN0))/log2(M)")
+                notes.append(INTERFERENCE_FREE_NOTE)
             else:
                 notes.append(f"ASSUMED interferer power omega = "
                              f"{FIG3_INTERFERER_OMEGA} (source value unspecified)")
@@ -306,9 +328,7 @@ def figure_config(number: int, seed: int | None, target_errors: int | None,
                               **{**base, "max_frames": min(mf, 200_000)})
             notes = []
             if k_u == 1:
-                notes.append("warning: interference-free preset; points use "
-                             "the deterministic conditional-error formula "
-                             "A*Q(sqrt(2*B*EsN0))/log2(M)")
+                notes.append(INTERFERENCE_FREE_NOTE)
             else:
                 notes.append(f"ASSUMED per-path interferer power omega = "
                              f"{FIG3_INTERFERER_OMEGA / 2} (source value unspecified)")
@@ -367,9 +387,7 @@ def cmd_sweep(args) -> int:
     curve = engine.run_sweep(cfg, _progress_printer(sys.stderr) if args.verbose else None)
     notes = []
     if cfg.mode == "simo-semianalytic" and not cfg.interferers:
-        notes.append("warning: interference-free preset; points use the "
-                     "deterministic conditional-error formula "
-                     "A*Q(sqrt(2*B*EsN0))/log2(M)")
+        notes.append(INTERFERENCE_FREE_NOTE)
     emit_csv(curve, args.out, notes=notes)
     print(f"wrote {args.out} ({len(curve.points)} points, backend "
           f"{kernels.active_backend()})")

@@ -151,21 +151,27 @@ def _path_operator(spec: PathSpec, config: SweepConfig) -> np.ndarray:
     return modem.ofdm_effective_channel(ch.H, config.grid)
 
 
-def _cp_ofdm_subcarrier_response(config: SweepConfig) -> tuple:
-    """Per-path subcarrier response and the CP energy factor.
+def _cp_ofdm_guard(grid: OtfsGrid) -> tuple:
+    """CP length and the share of the frame energy the data symbols carry.
 
     The guard interval is sized for the grid's worst-case delay spread
     (M - 1 samples) regardless of the instantaneous channel, and the
     comparison holds total radiated frame energy fixed, so data symbols
     carry the fraction M / (M + L_cp) of the OTFS symbol energy.
     """
+    l_cp = grid.M - 1
+    return l_cp, grid.M / (grid.M + l_cp)
+
+
+def _cp_ofdm_subcarrier_response(config: SweepConfig) -> tuple:
+    """Per-path subcarrier response and the CP amplitude factor."""
     grid = config.grid
     M, N = grid.M, grid.N
-    l_cp = M - 1
+    l_cp, share = _cp_ofdm_guard(grid)
     for spec in config.paths:
         if spec.l > l_cp:
             raise ConfigError(f"path delay {spec.l} exceeds the CP length {l_cp}")
-    scale = math.sqrt(M / (M + l_cp)) if l_cp > 0 else 1.0
+    scale = math.sqrt(share)
     phi = np.empty((len(config.paths), M * N), dtype=np.complex128)
     q = np.arange(M)
     for p, spec in enumerate(config.paths):
@@ -188,8 +194,7 @@ def analytic_reference(config: SweepConfig, es_n0: float,
         return analytic.multiuser_ber(es_n0, analytic.gamma_approx(mu, var), mod)
     if config.waveform == "ofdm" and config.ofdm_chain == "cp":
         # matched-SNR reference: exact for single-path presets
-        l_cp = config.grid.M - 1
-        es_n0 = es_n0 * config.grid.M / (config.grid.M + l_cp)
+        es_n0 = es_n0 * _cp_ofdm_guard(config.grid)[1]
     return analytic.siso_ber(es_n0, config.paths, mod)
 
 

@@ -172,28 +172,6 @@ class ChannelMatrices:
 # Transforms
 # ---------------------------------------------------------------------------
 
-def isfft(dd: np.ndarray) -> np.ndarray:
-    """Delay-Doppler (M x N) to time-frequency (N x M), unitary.
-
-    Forward DFT along delay, inverse DFT along Doppler, joint 1/sqrt(MN)
-    normalization; the round trip with sfft is the identity.
-    """
-    dd = np.asarray(dd)
-    if dd.ndim != 2:
-        raise ConfigError("delay-Doppler grid must be a 2-D matrix")
-    tf = np.fft.ifft(np.fft.fft(dd, axis=0, norm="ortho"), axis=1, norm="ortho")
-    return tf.T
-
-
-def sfft(tf: np.ndarray) -> np.ndarray:
-    """Time-frequency (N x M) back to delay-Doppler (M x N)."""
-    tf = np.asarray(tf)
-    if tf.ndim != 2:
-        raise ConfigError("time-frequency grid must be a 2-D matrix")
-    dd = np.fft.fft(np.fft.ifft(tf.T, axis=0, norm="ortho"), axis=1, norm="ortho")
-    return dd
-
-
 @lru_cache(maxsize=32)
 def _dft_unitary(n: int) -> np.ndarray:
     return np.fft.fft(np.eye(n)) / math.sqrt(n)
@@ -207,16 +185,6 @@ def dd_to_time_operator(grid: OtfsGrid) -> np.ndarray:
 def time_to_dd_operator(grid: OtfsGrid) -> np.ndarray:
     """(F_N kron I_M): maps received time samples to the delay-Doppler grid."""
     return np.kron(_dft_unitary(grid.N), np.eye(grid.M))
-
-
-def build_tx_vector(frame: DdFrame, grid: OtfsGrid) -> np.ndarray:
-    """Discrete-time transmit vector for a rectangular-pulse frame."""
-    if frame.symbols.shape != (grid.M, grid.N):
-        raise ConfigError(f"frame shape {frame.symbols.shape} does not match "
-                          f"grid ({grid.M}, {grid.N})")
-    # vec(X F_N^dagger) computed with FFTs rather than the dense Kronecker
-    s_mat = np.fft.ifft(frame.symbols, axis=1, norm="ortho")
-    return s_mat.reshape(-1, order="F")
 
 
 def cyclic_shift_matrix(n: int, shift: int = 1) -> np.ndarray:

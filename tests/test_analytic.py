@@ -2,9 +2,10 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy import signal, special
+from scipy import integrate, signal, special, stats
 
 from otfslab import analytic, cli, fading, specfun
 from otfslab.analytic import (MAX_TOTAL_SHAPE, GammaMixTerm, gamma_approx,
@@ -53,8 +54,8 @@ class TestErlang:
 
     def test_pdf_integrates_to_one(self):
         for m, mu in ((1, 0.5), (2, 1.3), (4, 0.2)):
-            total = specfun.integrate_semi_infinite(
-                lambda z, m=m, mu=mu: analytic.erlang_pdf(z, m, mu))
+            total, _ = _quad(lambda z, m=m, mu=mu: analytic.erlang_pdf(z, m, mu),
+                             0.0, math.inf)
             assert abs(total - 1.0) < 1e-10
 
     def test_domain_errors(self):
@@ -116,8 +117,7 @@ class TestXiCoefficients:
 
     def test_three_path_mixture_normalizes(self):
         terms = xi_coefficients((1, 2, 3), (1.0, 0.45, 0.21))
-        total = specfun.integrate_semi_infinite(
-            lambda z: analytic.mixture_pdf(z, terms))
+        total, _ = _quad(lambda z: analytic.mixture_pdf(z, terms), 0.0, math.inf)
         assert abs(total - 1.0) < 1e-8
 
     def test_completeness_and_nonnegativity(self):
@@ -286,6 +286,16 @@ class TestSinrDistribution:
         with pytest.raises(DomainError):
             sinr_cdf(11.0, 10.0, self.APPROX)
 
+    def test_printed_form_matches_mpmath(self):
+        # F(y) = gamma(m_z, ((Es/N0)/y - 1)/Omega_z) / Gamma(m_z)
+        g = 10.0
+        for m_z, oz in ((0.3, 1.0), (2.0, 1.0), (7.5, 0.2), (40.0, 3.0)):
+            approx = analytic.SinrGammaApprox(mu_S=1, sigma2_S=1, m_z=m_z, omega_z=oz)
+            for y in (1e-3, 0.5, 2.0, 9.99):
+                arg = (g / y - 1.0) / oz
+                ref = float(mp.gammainc(m_z, 0, arg, regularized=True))
+                assert abs(sinr_cdf(y, g, approx) - ref) <= 1e-12 * ref + 1e-300
+
     def test_pdf_integrates_to_complement_of_printed_form(self):
         # the printed distribution form carries the upper-tail probability,
         # so the density integrates to 1 - F_printed from the left and to
@@ -308,15 +318,52 @@ def _quad(f, a, b):
 
 class TestMultiuserBer:
     def test_kernel_equals_quadrature_grid(self):
+        # direct quadrature of (A/2) E_S[erfc(sqrt(B g / (1 + S)))] over the
+        # Gamma(m_z, omega_z) density of S
         mod = mod_params("qpsk")
         for m_z in (1.0, 2.0, 3.5):
             for snr_db in (0.0, 10.0, 20.0):
                 g = 10 ** (snr_db / 10)
                 approx = analytic.SinrGammaApprox(mu_S=1, sigma2_S=1,
                                                   m_z=m_z, omega_z=g / 20.0)
-                a = multiuser_ber(g, approx, mod, method="kernel")
-                b = multiuser_ber(g, approx, mod, method="quadrature")
+
+                def integrand(s):
+                    return special.erfc(math.sqrt(mod.B * g / (1.0 + s))) \
+                        * stats.gamma.pdf(s, m_z, scale=approx.omega_z)
+
+                ser, _ = integrate.quad(integrand, 0.0, math.inf, epsabs=0.0,
+                                        epsrel=1e-12, limit=200)
+                b = 0.5 * mod.A * ser / mod.bits_per_symbol
+                a = multiuser_ber(g, approx, mod)
                 assert abs(a - b) <= 1e-8 * max(b, 1e-300)
+
+    @pytest.mark.parametrize("scheme,order", [("bpsk", 2), ("qpsk", 4), ("qam", 16)])
+    def test_matches_oracle(self, gamma_average_oracle, scheme, order):
+        # SER = (A/2) E_W[erfc(sqrt(B x / (1/omega_z + W)))], x = Es/N0 / omega_z
+        mod = mod_params(scheme, order)
+        for users in ([[PathSpec(m=2, omega=0.015)]],
+                      [[PathSpec(m=1, omega=1.0)], [PathSpec(m=3, omega=0.05)]],
+                      [[PathSpec(m=0.5, omega=0.3), PathSpec(m=4, omega=0.2)]]):
+            for snr_db in (0.0, 10.0, 20.0, 30.0):
+                g = 10 ** (snr_db / 10)
+                approx = gamma_approx(*sinr_moments(g, users))
+                ref = 0.5 * mod.A * gamma_average_oracle(
+                    g / approx.omega_z, approx.m_z, mod.B, 1.0 / approx.omega_z) \
+                    / mod.bits_per_symbol
+                got = multiuser_ber(g, approx, mod)
+                assert abs(got - ref) <= 1e-9 * ref, (users, snr_db, got, ref)
+
+    def test_weak_interferer_matches_oracle(self, gamma_average_oracle):
+        # one m = 2 interferer of power 0.001 at 20 dB, QPSK: m_z = 2,
+        # x = 2000, shift = 20; the earlier absolute-tolerance kernel read
+        # 7.854483e-19, 25% low
+        mod = mod_params("qpsk")
+        approx = gamma_approx(*sinr_moments(100.0, [[PathSpec(m=2, omega=0.001)]]))
+        ref = 0.5 * gamma_average_oracle(100.0 / approx.omega_z, approx.m_z, 0.5,
+                                         1.0 / approx.omega_z)
+        got = multiuser_ber(100.0, approx, mod)
+        assert abs(got - ref) <= 1e-9 * ref
+        assert f"{got:.6e}" == "1.044289e-18"
 
     def test_reference_anchor_order_of_magnitude(self):
         # two-user preset: one shape-2 interferer at the assumed power;
@@ -345,12 +392,12 @@ class TestMultiuserBer:
         mod = mod_params("qpsk")
         approx = gamma_approx(*sinr_moments(10.0, [[PathSpec(m=2, omega=0.1)]]))
         for kernel in (1.01, -1e-3):
-            monkeypatch.setattr(specfun, "gamma_tail_ser_integral",
+            monkeypatch.setattr(specfun, "erfc_gamma_average",
                                 lambda *a, kernel=kernel, **k: kernel)
             with pytest.raises(NumericError):
                 multiuser_ber(10.0, approx, mod)
         # an overshoot inside the quadrature tolerance is the bound A/2
-        monkeypatch.setattr(specfun, "gamma_tail_ser_integral",
+        monkeypatch.setattr(specfun, "erfc_gamma_average",
                             lambda *a, **k: 1.0 + 1e-12)
         assert multiuser_ber(10.0, approx, mod) == 0.5 * mod.A / mod.bits_per_symbol
 

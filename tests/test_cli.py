@@ -181,6 +181,34 @@ class TestCliCommands:
         cfg.write_text("grid_mm = 2\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("line", ["grid_m = two", "snr = 0:x:10",
+                                      "eva = 2,abc,30"])
+    def test_malformed_config_number_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x.csv"
+        assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: malformed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_analytic_multiuser_matches_the_oracle(self, tmp_path,
+                                                  gamma_average_oracle):
+        # one weak interferer: the SER lies far below the scale an absolute
+        # quadrature tolerance can resolve
+        cfg = tmp_path / "weak.cfg"
+        cfg.write_text("mode = simo-semianalytic\nscheme = qpsk\npath1 = 2,1.0\n"
+                       "interferer1 = 2,0.001\nsnr_list = 10.0,20.0\n")
+        out = tmp_path / "weak.csv"
+        assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = parse_csv_rows(out)
+        assert [row[4] for row in rows][-1] == "1.044289e-18"
+        for row in rows:
+            es_n0 = 10.0 ** (float(row[0]) / 10.0)
+            # S ~ Gamma(2, omega_z) with omega_z = Es/N0 * 0.001 / 2
+            omega_z = es_n0 * 0.001 / 2
+            ref = 0.5 * gamma_average_oracle(es_n0 / omega_z, 2.0, 0.5, 1.0 / omega_z)
+            assert row[4] == f"{ref:.6e}"
+
     @pytest.mark.parametrize("paths", [
         pytest.param("path1 = 1,0.5,0\npath2 = 1,0.5,1\n", id="equal-powers"),
         pytest.param("path1 = 1.5,0.6,0\npath2 = 1.5,0.4,1\n", id="m1.5"),

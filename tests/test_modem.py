@@ -8,7 +8,7 @@ import pytest
 from otfslab import modem
 from otfslab.errors import CapacityError, ConfigError
 from otfslab.modem import (ChannelMatrices, DdFrame, OtfsGrid,
-                           build_channel_matrix, build_tx_vector,
+                           build_channel_matrix,
                            cyclic_shift_matrix, doppler_matrix,
                            make_constellation, ml_detect, ofdm_link, otfs_link)
 
@@ -34,47 +34,28 @@ class TestGrid:
             OtfsGrid(M=0, N=2)
 
 
-class TestIsfft:
-    def test_constant_grid_gives_scaled_impulse(self):
-        out = modem.isfft(np.ones((2, 2)))
-        expected = np.zeros((2, 2), dtype=complex)
-        expected[0, 0] = 2.0  # sqrt(M N)
-        assert np.allclose(out, expected, atol=1e-14)
-
-    def test_round_trip(self):
-        grid = OtfsGrid(M=4, N=3)
-        x = RNG.standard_normal((4, 3)) + 1j * RNG.standard_normal((4, 3))
-        assert np.max(np.abs(modem.sfft(modem.isfft(x)) - x)) < 1e-12
-
-    def test_parseval(self):
-        x = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
-        assert abs(np.linalg.norm(modem.isfft(x)) - np.linalg.norm(x)) < 1e-12
-
-
 class TestTxVector:
+    """The transmit map dd_to_time_operator, which build_channel_matrix uses:
+    vec(X F_N^dagger), an inverse unitary DFT along Doppler."""
+
     def test_single_doppler_bin_is_identity(self):
         grid = OtfsGrid(M=4, N=1)
         frame = random_frame(grid)
-        s = build_tx_vector(frame, grid)
+        s = modem.dd_to_time_operator(grid) @ frame.vectorized
         assert np.allclose(s, frame.vectorized, atol=1e-14)
 
     def test_energy_preserved(self):
         grid = OtfsGrid(M=2, N=2)
         frame = random_frame(grid)
-        s = build_tx_vector(frame, grid)
+        s = modem.dd_to_time_operator(grid) @ frame.vectorized
         assert abs(np.linalg.norm(s) - np.linalg.norm(frame.vectorized)) < 1e-12
 
     def test_matches_dense_kronecker_expansion(self):
         grid = OtfsGrid(M=3, N=2)
         frame = random_frame(grid)
-        s = build_tx_vector(frame, grid)
+        s = np.fft.ifft(frame.symbols, axis=1, norm="ortho").reshape(-1, order="F")
         kron = modem.dd_to_time_operator(grid)
         assert np.allclose(s, kron @ frame.vectorized, atol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        grid = OtfsGrid(M=2, N=2)
-        with pytest.raises(ConfigError):
-            build_tx_vector(DdFrame(symbols=np.ones((3, 2), complex)), grid)
 
 
 class TestChannelMatrix:
