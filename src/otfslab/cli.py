@@ -3,7 +3,8 @@
 Subcommands:
     sweep      Monte Carlo sweep plus the matching closed-form curve.
     analytic   closed-form-only curve on a dense SNR grid.
-    compare    paired OTFS vs OFDM run sharing channel/noise realizations.
+    compare    paired OTFS vs OFDM run, each batch of channel/noise
+               realizations drawn once and fed to both chains.
     diversity  empirical slope report next to the closed-form approximations.
     figure     paper-replication presets (1-4).
 
@@ -12,7 +13,8 @@ Exit codes: 0 success, 2 configuration error, 3 capacity error,
 
 Every CSV embeds its resolved configuration as ``# cfg key = value`` comment
 lines; feeding the CSV back through ``--config`` reproduces the data rows
-byte for byte.
+byte for byte; their ``workers`` line, if any, is ignored.  ``--verbose``
+prints a line per running chain every ten batches (OTFS first).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ INTERFERENCE_FREE_NOTE = ("warning: interference-free preset; points use the "
 # ---------------------------------------------------------------------------
 # Config file format: flat "key = value" lines, '#' comments, unknown keys
 # are hard errors.  CSV outputs are also accepted: their '# cfg ' comment
-# lines carry the full resolved configuration.
+# lines carry the full resolved configuration; "workers" is read and ignored.
 # ---------------------------------------------------------------------------
 
 _KNOWN_KEYS = {
@@ -85,8 +87,9 @@ def parse_config_text(text: str) -> dict:
 
 def _parse_path(text: str) -> PathSpec:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) < 2:
-        raise ConfigError(f"path spec needs at least 'm,omega', got {text!r}")
+    if not 2 <= len(parts) <= 5:
+        raise ConfigError(f"malformed path spec {text!r}: want "
+                          f"'m,omega[,l[,k[,kappa]]]'")
     try:
         # an integer shape stays int, so its manifests read back unchanged
         m = int(parts[0]) if parts[0].lstrip("+-").isdigit() else float(parts[0])
@@ -142,10 +145,10 @@ def config_from_kv(kv: dict) -> SweepConfig:
     if "eva" in kv:
         if paths:
             raise ConfigError("give either explicit paths or an eva directive, not both")
-        parts = [v.strip() for v in kv["eva"].split(",")]
         try:
-            P, fc_hz, speed_mps = int(parts[0]), float(parts[1]), float(parts[2])
-        except (ValueError, IndexError) as e:
+            P, fc_hz, speed_mps = kv["eva"].split(",")
+            P, fc_hz, speed_mps = int(P), float(fc_hz), float(speed_mps)
+        except ValueError as e:
             raise ConfigError(f"malformed eva directive {kv['eva']!r}: {e}") from e
         paths = list(eva_grid_placement(grid, fc_hz, speed_mps, P,
                                         make_stream(number("seed", 1), 0xE7A)))
@@ -173,7 +176,6 @@ def config_from_kv(kv: dict) -> SweepConfig:
         waveform=kv.get("waveform", "otfs"),
         mode=kv.get("mode", "siso-waveform"),
         interferers=tuple(interferers),
-        workers=number("workers", 1),
         ofdm_chain=kv.get("ofdm_chain", "cp"),
         preset=kv.get("preset", "custom"),
     )
@@ -188,7 +190,7 @@ def config_to_kv(config: SweepConfig) -> dict:
         "max_frames": config.max_frames,
         "target_errors": config.target_bit_errors,
         "seed": config.master_seed, "waveform": config.waveform,
-        "mode": config.mode, "workers": config.workers,
+        "mode": config.mode,
         "ofdm_chain": config.ofdm_chain, "preset": config.preset,
     }
     for i, p in enumerate(config.paths, start=1):
@@ -272,13 +274,14 @@ def _table2_grid() -> OtfsGrid:
 
 
 def figure_config(number: int, seed: int | None, target_errors: int | None,
-                  max_frames: int | None, workers: int) -> list:
+                  max_frames: int | None, workers=None) -> list:
     """(config, notes) pairs for one paper-replication figure preset."""
+    # `workers` is ignored; ROADMAP P0 retires the positional argument
     grid = _table2_grid()
     te = target_errors if target_errors is not None else 2000
     mf = max_frames if max_frames is not None else 10_000_000
     base = dict(grid=grid, snr_db=tuple(float(s) for s in range(0, 21, 2)),
-                max_frames=mf, target_bit_errors=te, workers=workers)
+                max_frames=mf, target_bit_errors=te)
     runs = []
     if number == 1:
         for m in (1, 2):
@@ -343,11 +346,14 @@ def figure_config(number: int, seed: int | None, target_errors: int | None,
 # ---------------------------------------------------------------------------
 
 def _progress_printer(stream):
-    state = {}
+    """Print a point's counts every ten batches.  Paired chains report a
+    batch in turn, so a repeat of the frame count just printed prints too."""
+    printed = {}
 
     def cb(pt_idx, snr_db, frames, errors):
-        if frames - state.get(pt_idx, 0) >= 10 * engine.BATCH_FRAMES:
-            state[pt_idx] = frames
+        last = printed.get(pt_idx, 0)
+        if frames == last or frames - last >= 10 * engine.BATCH_FRAMES:
+            printed[pt_idx] = frames
             print(f"  {snr_db:5.1f} dB: {frames} frames, {errors} bit errors",
                   file=stream)
     return cb
@@ -368,8 +374,6 @@ def _apply_overrides(cfg: SweepConfig, args) -> SweepConfig:
     if getattr(args, "mode", None):
         over["mode"] = {"siso": "siso-waveform",
                         "simo": "simo-semianalytic"}[args.mode]
-    if getattr(args, "workers", None) is not None:
-        over["workers"] = args.workers
     return replace(cfg, **over) if over else cfg
 
 
@@ -432,7 +436,7 @@ def cmd_diversity(args) -> int:
 
     base = dict(grid=grid, scheme="qpsk", order=4, snr_db=snr_pair,
                 max_frames=args.frames_max or 10_000_000,
-                target_bit_errors=te, workers=args.workers or 1)
+                target_bit_errors=te)
     cfg = SweepConfig(paths=(PathSpec(m=1, omega=1.0),), master_seed=seed,
                       preset="table3-p1m1", **base)
     otfs, ofdm = engine.paired_comparison(cfg)
@@ -447,8 +451,7 @@ def cmd_diversity(args) -> int:
                             PathSpec(m=2, omega=TABLE3_P2_OMEGAS[1], l=1)),
                      master_seed=seed + 1, preset="table3-p2m12", **base)
     window = (30.0, 40.0) if args.asymptotic else snr_pair
-    p2_curve = engine.run_sweep(replace(p2, snr_db=window)) if args.asymptotic \
-        else engine.run_sweep(p2)
+    p2_curve = engine.run_sweep(replace(p2, snr_db=window))
     reports.append(diversity.DiversityReport(
         gd_empirical=diversity.empirical_gd(p2_curve, *window, use_analytic=True),
         snr_pair=window, gd_approx=diversity.siso_gd_approx(2, (1, 2)),
@@ -474,19 +477,16 @@ def cmd_diversity(args) -> int:
 
 def cmd_figure(args) -> int:
     runs = figure_config(args.number, args.seed, args.target_errors,
-                         args.frames_max, args.workers or 1)
+                         args.frames_max)
     curves, notes = [], []
-    cfg0 = None
     for cfg, run_notes in runs:
-        cfg0 = cfg0 or cfg
         notes.extend(run_notes)
         if args.number in (1, 2):
-            otfs, ofdm = engine.paired_comparison(
-                cfg, _progress_printer(sys.stderr) if args.verbose else None)
-            curves.extend([otfs, ofdm])
+            curves.extend(engine.paired_comparison(
+                cfg, _progress_printer(sys.stderr) if args.verbose else None))
         else:
             curves.append(engine.run_sweep(cfg))
-    emit_csv(curves, args.out, notes=notes, config=cfg0)
+    emit_csv(curves, args.out, notes=notes, config=runs[0][0])
     print(f"wrote {args.out} ({sum(len(c.points) for c in curves)} rows)")
     return 0
 
@@ -509,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--target-errors", type=int, default=None)
             p.add_argument("--waveform", choices=["otfs", "ofdm"])
             p.add_argument("--mode", choices=["siso", "simo"])
-            p.add_argument("--workers", type=int, default=None)
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo + analytic curve")
     common(p_sweep)
@@ -529,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_div.add_argument("--out", default=None)
     p_div.add_argument("--frames-max", type=int, default=None)
     p_div.add_argument("--target-errors", type=int, default=None)
-    p_div.add_argument("--workers", type=int, default=None)
     p_div.add_argument("--asymptotic", action="store_true",
                        help="use the 30->40 dB analytic window")
     p_div.set_defaults(func=cmd_diversity)
@@ -540,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--out", default=None)
     p_fig.add_argument("--frames-max", type=int, default=None)
     p_fig.add_argument("--target-errors", type=int, default=None)
-    p_fig.add_argument("--workers", type=int, default=None)
     p_fig.add_argument("--verbose", action="store_true")
     p_fig.set_defaults(func=cmd_figure)
     return ap

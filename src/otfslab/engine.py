@@ -2,8 +2,9 @@
 
 Frames are simulated in fixed-size batches whose randomness is keyed by
 (master seed, SNR point index, batch index) through counter-based Philox
-streams, so results are bit-identical for a given configuration regardless
-of worker count or scheduling.  Early stopping is evaluated on batch
+streams, so results are bit-identical for a given configuration.  A paired
+OTFS/OFDM run draws each batch once and feeds it to every chain that has
+not yet met its stop rule.  Early stopping is evaluated on batch
 boundaries; error counts merge by integer summation, and so do the squared
 per-frame error counts that feed each point's frame-clustered standard error
 ``se``, so neither depends on how batches are scheduled.
@@ -45,7 +46,6 @@ class SweepConfig:
     waveform: str = "otfs"              # "otfs" | "ofdm"
     mode: str = "siso-waveform"         # "siso-waveform" | "simo-semianalytic"
     interferers: tuple = ()             # per-user tuples of PathSpec (simo mode)
-    workers: int = 1
     ofdm_chain: str = "cp"              # "cp" (conventional) | "shared" (CP-free)
     preset: str = "custom"
 
@@ -58,10 +58,8 @@ class SweepConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.ofdm_chain not in ("cp", "shared"):
             raise ConfigError(f"unknown ofdm chain {self.ofdm_chain!r}")
-        if self.max_frames < 1 or self.target_bit_errors < 0:
+        if self.max_frames < 1 or self.target_bit_errors < 1:
             raise ConfigError("frame and error budgets must be positive")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if not self.paths:
             raise ConfigError("at least one desired path is required")
 
@@ -208,7 +206,8 @@ def run_sweep(config: SweepConfig, progress=None) -> BerCurve:
     For waveform modes every frame draws a fresh channel and noise
     realization; detection is exhaustive ML; bit errors use Gray-mapped
     labels.  Points stop at target_bit_errors or max_frames, whichever
-    comes first (checked on batch boundaries).
+    comes first (checked on batch boundaries); ``progress(pt_idx, snr_db,
+    frames, errors)`` is called after every batch.
 
     In semi-analytic mode the points run concurrently on the usable cores;
     each reads its own (seed, point) stream, so the curve is the one a
@@ -218,63 +217,72 @@ def run_sweep(config: SweepConfig, progress=None) -> BerCurve:
     """
     if config.mode == "simo-semianalytic":
         return _run_semianalytic(config, progress)
-    return _run_waveform(config, progress)
+    return _run_waveform((config,), progress)[0]
 
 
-def _run_waveform(config: SweepConfig, progress=None) -> BerCurve:
-    grid = config.grid
-    mn = grid.frame_size
+def _detector(config: SweepConfig, constellation: Constellation,
+              hamming: np.ndarray):
+    """The chain's kernel with its set-up done once:
+    ``f(gains, sym_idx, noise) -> (errors, errors_sq)`` for one batch."""
+    points = constellation.points
+    if config.waveform == "ofdm" and config.ofdm_chain == "cp":
+        phi, scale = _cp_ofdm_subcarrier_response(config)
+        return lambda gains, sym_idx, noise: kernels.diag_frame_errors(
+            phi, scale, gains, sym_idx, noise, points, hamming)
+    ops = np.stack([_path_operator(spec, config) for spec in config.paths])
+    cand_idx, cand_pts = modem.enumerate_candidates(constellation,
+                                                    config.grid.frame_size)
+    return lambda gains, sym_idx, noise: kernels.matrix_frame_errors(
+        ops, gains, sym_idx, noise, points, cand_idx, cand_pts, hamming)
+
+
+def _run_waveform(configs: tuple, progress=None) -> tuple:
+    """One curve per config (the configs differ only in their chain), each
+    equal to a sweep of its own: every (seed, point, batch) is drawn once and
+    fed, in config order, to each chain still short of its stop rule."""
+    config = configs[0]
+    mn = config.grid.frame_size
     constellation = modem.make_constellation(config.scheme, config.order)
     mod = analytic.mod_params(config.scheme, config.order)
     bps = constellation.bits_per_symbol
     hamming = _hamming_table(constellation)
-    points_arr = constellation.points
+    detectors = [_detector(c, constellation, hamming) for c in configs]
 
-    diag_chain = config.waveform == "ofdm" and config.ofdm_chain == "cp"
-    if diag_chain:
-        phi, scale = _cp_ofdm_subcarrier_response(config)
-    else:
-        ops = np.stack([_path_operator(spec, config) for spec in config.paths])
-        cand_idx, cand_pts = modem.enumerate_candidates(constellation, mn)
-
-    specs = config.paths
-    out = []
+    rows = [[] for _ in configs]
     for pt_idx, snr_db in enumerate(config.snr_db):
         es_n0 = 10.0 ** (snr_db / 10.0)
         sigma = math.sqrt(1.0 / es_n0)
-        errors = 0
-        errors_sq = 0
-        frames = 0
+        tallies = [[0, 0, 0] for _ in configs]     # errors, errors_sq, frames
+        live = list(zip(detectors, tallies))       # budgets are >= 1
         batch_idx = 0
-        while frames < config.max_frames and errors < config.target_bit_errors:
-            nf = min(BATCH_FRAMES, config.max_frames - frames)
+        while live:
+            # live chains have seen the same batches, so share the batch size
+            nf = min(BATCH_FRAMES, config.max_frames - live[0][1][2])
             rng = make_stream(config.master_seed, pt_idx, batch_idx)
-            gains = sample_nakagami_gains(specs, rng, nf)
+            gains = sample_nakagami_gains(config.paths, rng, nf)
             sym_idx = rng.integers(0, constellation.order, (nf, mn))
             noise = (rng.standard_normal((nf, mn))
                      + 1j * rng.standard_normal((nf, mn))) * (sigma / math.sqrt(2.0))
-            if diag_chain:
-                e, e_sq = kernels.diag_frame_errors(
-                    phi, scale, gains, sym_idx, noise, points_arr, hamming)
-            else:
-                e, e_sq = kernels.matrix_frame_errors(
-                    ops, gains, sym_idx, noise, points_arr, cand_idx,
-                    cand_pts, hamming)
-            errors += e
-            errors_sq += e_sq
-            frames += nf
+            for detect, t in live:
+                e, e_sq = detect(gains, sym_idx, noise)
+                t[0] += e
+                t[1] += e_sq
+                t[2] += nf
+                if progress is not None:
+                    progress(pt_idx, snr_db, t[2], t[0])
+            live = [(detect, t) for detect, t in live
+                    if t[2] < config.max_frames and t[0] < config.target_bit_errors]
             batch_idx += 1
-            if progress is not None:
-                progress(pt_idx, snr_db, frames, errors)
-        bits = frames * mn * bps
-        ber = errors / bits
-        lo, hi = wilson_interval(errors, bits)
-        out.append(BerPoint(snr_db=float(snr_db), bit_errors=errors, bits=bits,
-                            ber=ber, ci_low=lo, ci_high=hi,
-                            analytic_ber=analytic_reference(config, es_n0, mod),
-                            se=clustered_se(errors, errors_sq, frames, mn * bps)))
-    return BerCurve(points=tuple(out), waveform=config.waveform,
-                    preset=config.preset, config=config)
+        for c, row, (errors, errors_sq, frames) in zip(configs, rows, tallies):
+            bits = frames * mn * bps
+            lo, hi = wilson_interval(errors, bits)
+            row.append(BerPoint(
+                snr_db=float(snr_db), bit_errors=errors, bits=bits,
+                ber=errors / bits, ci_low=lo, ci_high=hi,
+                analytic_ber=analytic_reference(c, es_n0, mod),
+                se=clustered_se(errors, errors_sq, frames, mn * bps)))
+    return tuple(BerCurve(points=tuple(row), waveform=c.waveform, preset=c.preset,
+                          config=c) for c, row in zip(configs, rows))
 
 
 def _usable_cores() -> int:
@@ -314,7 +322,10 @@ def _run_semianalytic(config: SweepConfig, progress=None) -> BerCurve:
 
 
 def paired_comparison(config: SweepConfig, progress=None) -> tuple:
-    """OTFS and OFDM sweeps consuming identical channel/noise realizations."""
-    otfs = run_sweep(replace(config, waveform="otfs"), progress)
-    ofdm = run_sweep(replace(config, waveform="ofdm"), progress)
-    return otfs, ofdm
+    """(OTFS curve, OFDM curve) over identical channel/noise realizations,
+    each equal to ``run_sweep`` of its own config.  Waveform modes run one
+    pass that draws each batch once; ``progress`` hears each chain fed."""
+    configs = (replace(config, waveform="otfs"), replace(config, waveform="ofdm"))
+    if config.mode == "simo-semianalytic":
+        return tuple(_run_semianalytic(c, progress) for c in configs)
+    return _run_waveform(configs, progress)

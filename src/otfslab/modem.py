@@ -22,22 +22,21 @@ DEFAULT_ML_CAP = 2 ** 20
 
 @dataclass(frozen=True)
 class OtfsGrid:
-    """Delay-Doppler grid geometry: M delay bins, N Doppler bins."""
+    """Delay-Doppler grid geometry: M delay bins, N Doppler bins.
+
+    The transmit and receive pulses are assumed rectangular, so their
+    windows are the identity and every transform below is a plain DFT.
+    """
 
     M: int
     N: int
     delta_f: float = 15e3
-    pulse: str = "rectangular"
 
     def __post_init__(self):
         if self.M < 1 or self.N < 1:
             raise ConfigError(f"grid must have M, N >= 1, got ({self.M}, {self.N})")
         if self.delta_f <= 0:
             raise ConfigError(f"subcarrier spacing must be positive, got {self.delta_f}")
-        if self.pulse != "rectangular":
-            raise ConfigError(
-                f"only rectangular pulses are supported (tx/rx windows are then "
-                f"identity), got {self.pulse!r}")
 
     @property
     def T(self) -> float:
@@ -200,17 +199,11 @@ def doppler_matrix(n: int, exponent: float) -> np.ndarray:
 def build_channel_matrix(paths, grid: OtfsGrid) -> ChannelMatrices:
     """Assemble H = sum_p h_p Pi^l_p Delta^(k_p + kappa_p) and its DD image.
 
-    `paths` is a sequence of (gain, l, k, kappa) tuples or objects with those
-    attributes plus a drawn gain.
+    `paths` is a sequence of (gain, l, k, kappa) tuples.
     """
     mn = grid.frame_size
-    norm = []
-    for p in paths:
-        if isinstance(p, tuple):
-            h, l, k, kappa = p
-        else:
-            h, l, k, kappa = p.gain, p.l, p.k, p.kappa
-        norm.append((complex(h), int(l), float(k) + float(kappa)))
+    norm = [(complex(h), int(l), float(k) + float(kappa))
+            for h, l, k, kappa in paths]
     if not norm:
         raise ConfigError("channel needs at least one path")
     for _, l, _ in norm:

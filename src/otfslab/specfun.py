@@ -116,22 +116,17 @@ def erfc_gamma_average(x: float, m_z: float, b: float = 1.0,
     return math.exp(ln_value)
 
 
-def meijer_g_2313(x: float, m_z: float, method: str = "quadrature") -> float:
+def meijer_g_2313(x: float, m_z: float) -> float:
     """The Meijer-G(3,1;2,3) instance carrying the multi-user closed form.
 
     Defined operationally: G(x) = E_W[erfc(sqrt(x / W))], W ~ Gamma(m_z, 1),
-    so that (A/2)*G is the SER of A*Q(sqrt(2 SNR)) at SNR = x / W.  The
-    quadrature path is erfc_gamma_average with b = 1 and no shift: its
-    domain, relative tolerance (GAMMA_AVERAGE_RTOL) and errors are that
-    function's.  ``method="series"`` evaluates an independent residue
-    expansion (valid for x <= 40 and m_z away from half-odd-integers) for
-    cross-checking.
+    so that (A/2)*G is the SER of A*Q(sqrt(2 SNR)) at SNR = x / W.  It is
+    erfc_gamma_average with b = 1 and no shift: its domain, relative
+    tolerance (GAMMA_AVERAGE_RTOL) and errors are that function's.
+    _meijer_series evaluates an independent residue expansion (valid for
+    x <= 40 and m_z away from half-odd-integers) for cross-checking.
     """
-    if method == "quadrature":
-        return erfc_gamma_average(x, m_z)
-    if method == "series":
-        return _meijer_series(x, m_z)
-    raise DomainError(f"unknown method {method!r}")
+    return erfc_gamma_average(x, m_z)
 
 
 def _meijer_series(x: float, m_z: float, k_max: int = 400) -> float:

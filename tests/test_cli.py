@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import otfslab
-from otfslab import cli
+from otfslab import cli, engine
 from otfslab.analytic import mod_params
 from otfslab.cli import (CSV_HEADER, config_from_kv, config_to_kv, emit_csv,
                          main, parse_config_text, parse_csv_rows)
@@ -46,10 +46,19 @@ class TestConfigFormat:
         assert back == cfg
         assert type(back.paths[1].m) is int
 
-    @pytest.mark.parametrize("text", ["1.5x,1.0", "2,one", "2,1.0,0.5", "2,1.0,0,1,x"])
+    @pytest.mark.parametrize("text", ["1.5x,1.0", "2,one", "2,1.0,0.5", "2,1.0,0,1,x",
+                                      "2", "2,1.0,0,0,0.0,junk"])
     def test_malformed_path_numbers_rejected(self, text):
         with pytest.raises(ConfigError, match="malformed path spec"):
             config_from_kv({"path1": text})
+
+    def test_manifest_with_a_workers_line_loads(self):
+        # manifests written while the key configured a worker count
+        text = ("# cfg grid_m = 2\n# cfg seed = 7\n# cfg workers = 1\n"
+                "# cfg path1 = 2,1.0,0,0,0.0\n")
+        cfg = config_from_kv(parse_config_text(text))
+        assert cfg.master_seed == 7 and cfg.paths == (PathSpec(m=2, omega=1.0),)
+        assert "workers" not in config_to_kv(cfg)
 
     def test_unknown_key_is_hard_error(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -182,7 +191,9 @@ class TestCliCommands:
         assert main(["sweep", "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize("line", ["grid_m = two", "snr = 0:x:10",
-                                      "eva = 2,abc,30"])
+                                      "eva = 2,abc,30", "eva = 2,3e9",
+                                      "eva = 2,3e9,30,7,junk",
+                                      "path1 = 2,1.0,0,0,0.0,junk"])
     def test_malformed_config_number_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
@@ -190,6 +201,29 @@ class TestCliCommands:
         assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 2
         assert "config error: malformed" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zero_target_errors_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--target-errors", "0", "--snr", "0:10:10",
+                     "--out", str(out)]) == 2
+        assert "config error: frame and error budgets" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verbose_compare_prints_each_chain(self, tmp_path, capsys, monkeypatch):
+        # a paired run prints the lines a sweep of each chain prints alone,
+        # a batch's chains in turn, OTFS first
+        monkeypatch.setattr(engine, "BATCH_FRAMES", 64)
+        args = ["--snr", "20:10:20", "--target-errors", "300", "--verbose",
+                "--out", str(tmp_path / "x.csv")]
+        alone = []
+        for w in ("otfs", "ofdm"):
+            assert main(["sweep", "--waveform", w] + args) == 0
+            alone.append(capsys.readouterr().err.splitlines())
+        assert main(["compare"] + args) == 0
+        paired = capsys.readouterr().err.splitlines()
+        assert alone[0] and alone[1] and alone[0] != alone[1]
+        assert paired == sorted(alone[0] + alone[1],
+                                key=lambda line: int(line.split()[2]))
 
     def test_analytic_multiuser_matches_the_oracle(self, tmp_path,
                                                   gamma_average_oracle):

@@ -1,5 +1,6 @@
 """Sweep orchestration: determinism, pairing, early stopping, intervals."""
 
+import collections
 import dataclasses
 import math
 import os
@@ -82,10 +83,6 @@ class TestRunSweep:
         a = run_sweep(small_config())
         b = run_sweep(small_config(master_seed=6))
         assert a.points != b.points
-
-    def test_worker_count_invariance(self):
-        results = [run_sweep(small_config(workers=w)) for w in (1, 4, 8)]
-        assert results[0].points == results[1].points == results[2].points
 
     def test_early_stop_on_target_errors(self):
         cfg = small_config(snr_db=(0.0,), max_frames=10_000_000,
@@ -199,6 +196,65 @@ class TestPairedComparison:
                           target_bit_errors=800)
         otfs, ofdm = engine.paired_comparison(cfg)
         assert ofdm.points[0].ber > otfs.points[0].ber
+
+    @pytest.mark.parametrize("target, cap", [
+        (300, 100_000),      # both chains stop on errors, after unequal batches
+        (10 ** 9, 200),      # both stop at the frame cap, the last batch partial
+        (600, 1000),         # some points stop on errors, some at the cap
+    ])
+    @pytest.mark.parametrize("chain", ["cp", "shared"])
+    def test_one_pass_equals_two_sweeps(self, monkeypatch, chain, target, cap):
+        monkeypatch.setattr(engine, "BATCH_FRAMES", 64)
+        cfg = small_config(scheme="qpsk", order=4, paths=TWO_PATHS,
+                           ofdm_chain=chain, snr_db=(0.0, 6.0, 12.0),
+                           max_frames=cap, target_bit_errors=target)
+        alone = tuple(run_sweep(dataclasses.replace(cfg, waveform=w))
+                      for w in ("otfs", "ofdm"))
+        assert engine.paired_comparison(cfg) == alone
+        frames = [[p.bits // 8 for p in curve.points] for curve in alone]
+        if cap == 200:
+            assert frames == [[200] * 3] * 2
+        else:
+            assert frames[0] != frames[1]
+
+    @pytest.mark.parametrize("chain", ["cp", "shared"])
+    def test_paired_run_draws_each_batch_once(self, monkeypatch, chain):
+        monkeypatch.setattr(engine, "BATCH_FRAMES", 64)
+        cfg = small_config(scheme="qpsk", order=4, paths=TWO_PATHS,
+                           ofdm_chain=chain, snr_db=(0.0, 6.0, 12.0),
+                           max_frames=100_000, target_bit_errors=300)
+        keys = collections.Counter()
+
+        def counting(*key):
+            keys[key] += 1
+            return make_stream(*key)
+
+        monkeypatch.setattr(engine, "make_stream", counting)
+        alone = [run_sweep(dataclasses.replace(cfg, waveform=w))
+                 for w in ("otfs", "ofdm")]
+        keys.clear()
+        engine.paired_comparison(cfg)
+        assert set(keys.values()) == {1}
+        for pt_idx in range(len(cfg.snr_db)):
+            batches = [-(-curve.points[pt_idx].bits // (8 * 64)) for curve in alone]
+            assert sum(key[1] == pt_idx for key in keys) == max(batches)
+        assert len(keys) < sum(-(-p.bits // (8 * 64))
+                               for curve in alone for p in curve.points)
+
+    def test_progress_for_each_chain_fed(self, monkeypatch):
+        monkeypatch.setattr(engine, "BATCH_FRAMES", 64)
+        cfg = small_config(snr_db=(6.0,), max_frames=1000, target_bit_errors=100)
+        alone = []
+        for w in ("otfs", "ofdm"):
+            calls = []
+            run_sweep(dataclasses.replace(cfg, waveform=w),
+                      progress=lambda *a: calls.append(a))
+            alone.append(calls)
+        paired = []
+        engine.paired_comparison(cfg, progress=lambda *a: paired.append(a))
+        assert len(alone[0]) != len(alone[1])
+        # each batch feeds the live chains in turn, OTFS first
+        assert paired == sorted(alone[0] + alone[1], key=lambda a: a[2])
 
     def test_two_path_delay_exceeding_cp_rejected(self):
         cfg = small_config(paths=(PathSpec(m=1, omega=0.5, l=0),

@@ -25,10 +25,6 @@ class TestGrid:
         grid = OtfsGrid(M=2, N=2, delta_f=15e3)
         assert abs(grid.T * grid.delta_f - 1.0) < 1e-15
 
-    def test_only_rectangular_pulse(self):
-        with pytest.raises(ConfigError):
-            OtfsGrid(M=2, N=2, pulse="raised-cosine")
-
     def test_dimensions_validated(self):
         with pytest.raises(ConfigError):
             OtfsGrid(M=0, N=2)
