@@ -430,12 +430,13 @@ def cmd_compare(args) -> int:
 def cmd_diversity(args) -> int:
     seed = args.seed if args.seed is not None else 20260840
     te = args.target_errors if args.target_errors is not None else 2000
+    mf = args.frames_max if args.frames_max is not None else 10_000_000
     grid = _table2_grid()
     snr_pair = (10.0, 20.0)
     reports = []
 
     base = dict(grid=grid, scheme="qpsk", order=4, snr_db=snr_pair,
-                max_frames=args.frames_max or 10_000_000,
+                max_frames=mf,
                 target_bit_errors=te)
     cfg = SweepConfig(paths=(PathSpec(m=1, omega=1.0),), master_seed=seed,
                       preset="table3-p1m1", **base)

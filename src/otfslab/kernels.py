@@ -23,6 +23,18 @@ candidates' distances agree to rounding.  Each frame's decision depends on
 that frame's inputs alone, so error counts do not depend on how frames are
 split into batches or chunks, and both returned sums are integer sums.
 
+A single path whose operator is diagonal (one path with l = k = kappa = 0,
+where ``A_0`` is the identity up to the DFT round trip) skips the joint
+search: ``H = h A_0`` is diagonal, so ``||y - H c||^2`` is a sum of
+per-symbol terms and the joint minimisers are exactly the symbol vectors
+that minimise every term.  The subcarrier-diagonal kernel (next
+paragraph), with ``phi = diag(A_0)`` and unit scale, makes those per-symbol
+decisions; the lowest point index per symbol is the lexicographically first
+joint minimiser, so ties resolve as ``modem.ml_detect`` resolves them.
+"Diagonal" means every off-diagonal entry has modulus at most
+``_DIAGONAL_RTOL`` times the smallest diagonal modulus, an ``O(MN^2)`` test
+made on every call.
+
 Subcarrier-diagonal frames (conventional CP-OFDM) see one flat gain per
 symbol, ``lambda = sum_p h_p phi_p``, so ML factorizes into per-symbol
 nearest-point decisions.  That kernel works on ``(MN, frames)`` blocks, frames
@@ -43,6 +55,10 @@ import numpy as np
 # Bytes of the (chunk, C) float64 block of candidate metrics: frames are
 # processed in row chunks sized so that the block stays about this large.
 _CHUNK_BYTES = 8 << 20
+
+# An operator counts as diagonal when no off-diagonal entry's modulus exceeds
+# this times the smallest diagonal modulus.
+_DIAGONAL_RTOL = 1e-12
 
 # Symbols per (MN, frames) block of the diagonal kernel: frames are processed
 # in blocks of this many symbols so that its temporaries stay cache-resident.
@@ -67,6 +83,13 @@ def _per_frame_totals(per_frame: np.ndarray) -> tuple:
 # Matrix-channel frames: the frame's effective channel is sum_p h_p * A_p.
 # ---------------------------------------------------------------------------
 
+def _is_diagonal(A) -> bool:
+    """True when A's off-diagonal entries are negligible (``_DIAGONAL_RTOL``)."""
+    d = np.diagonal(A)
+    off = np.abs(A - np.diag(d)).max()
+    return bool(off <= _DIAGONAL_RTOL * np.abs(d).min())
+
+
 def matrix_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
                         cand_pts, hamming) -> tuple:
     """(bit errors, sum of squared per-frame errors) over a batch of frames.
@@ -74,7 +97,23 @@ def matrix_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
     A_ops (P, MN, MN) path operators; gains (F, P); sym_idx (F, MN) indices
     into points; noise (F, MN); cand_idx / cand_pts (C, MN) the candidate
     index and symbol vectors; hamming (order, order) bit distances.
+
+    One path with a diagonal operator is exact ML symbol by symbol: it goes
+    to ``diag_frame_errors`` with ``phi = diag(A_0)`` and unit scale, which
+    resolves ties to the lowest point index per symbol, i.e. to the
+    lexicographically first joint minimiser (module docstring).  Every other
+    batch takes the joint search over all C candidates.
     """
+    if len(A_ops) == 1 and _is_diagonal(A_ops[0]):
+        return diag_frame_errors(np.diagonal(A_ops[0])[None], 1.0, gains,
+                                 sym_idx, noise, points, hamming)
+    return _joint_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
+                               cand_pts, hamming)
+
+
+def _joint_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
+                        cand_pts, hamming) -> tuple:
+    """``matrix_frame_errors`` by the joint search over all candidates."""
     P, MN, _ = A_ops.shape
     C = len(cand_pts)
     F = len(gains)

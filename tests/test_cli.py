@@ -277,6 +277,14 @@ class TestCliCommands:
         assert f"# {cli.MATCHED_FILTER_NOTE}" in text
         assert out.read_text().count("\n") == 5
 
+    @pytest.mark.parametrize("command", ["diversity", "figure 1", "sweep"])
+    def test_zero_frame_budget_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        assert main(command.split() + ["--frames-max", "0",
+                                       "--out", str(out)]) == 2
+        assert "config error: frame and error budgets" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_analytic_and_sweep_columns_agree_for_cp_ofdm(self, tmp_path):
         # one closed form for both commands, CP energy factor included
         cfg = tmp_path / "cp.cfg"

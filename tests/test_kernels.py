@@ -5,6 +5,11 @@ The matrix kernel is checked against the per-frame modem chain
 against a direct-metric reference ``argmin ||y - H_f c||^2`` on whole
 batches; its counts must not depend on how a batch is split into chunks.
 
+A single path with a diagonal operator takes the symbol-wise route inside
+the matrix kernel; its counts are checked against the same references and
+against the joint search on figure-1 batches, and operators that are not
+diagonal are checked to keep the joint search.
+
 The diagonal (CP-OFDM) kernel is checked against exhaustive joint ML over
 all ``order^MN`` symbol vectors, which tests the per-subcarrier
 factorization, one frame at a time, and against the direct
@@ -17,11 +22,12 @@ import math
 import numpy as np
 import pytest
 
-from otfslab import engine, kernels, modem
+from otfslab import cli, engine, kernels, modem
 from otfslab.fading import PathSpec, make_stream, sample_nakagami_gains
 from otfslab.modem import DdFrame, OtfsGrid, make_constellation
 
 TWO_PATHS = (PathSpec(m=1, omega=2 / 3, l=0), PathSpec(m=2, omega=1 / 3, l=1))
+ONE_PATH = (PathSpec(m=1, omega=1.0),)
 
 # name -> (grid, scheme, paths, waveform); "ofdm" is the CP-free shared-H chain
 CASES = {
@@ -30,6 +36,9 @@ CASES = {
                                 (PathSpec(m=2, omega=1.0, l=1, k=1, kappa=0.3),),
                                 "otfs"),
     "ofdm-shared-two-path-qpsk": (OtfsGrid(M=2, N=2), "qpsk", TWO_PATHS, "ofdm"),
+    # one path with l = k = 0: diagonal operators, the symbol-wise route
+    "otfs-one-path-bpsk": (OtfsGrid(M=2, N=2), "bpsk", ONE_PATH, "otfs"),
+    "ofdm-shared-one-path-qpsk": (OtfsGrid(M=2, N=2), "qpsk", ONE_PATH, "ofdm"),
 }
 SIGMAS = (1.0, 0.3, 0.05, 0.01, 1e-3)
 
@@ -140,6 +149,75 @@ def test_matrix_kernel_counts_do_not_depend_on_chunking(monkeypatch):
     monkeypatch.setattr(kernels, "_CHUNK_BYTES", 1)
     assert kernels._chunk_rows(len(cand_pts)) == 1
     assert kernels.matrix_frame_errors(*batch) == whole
+
+
+def test_diagonal_route_counts_equal_the_joint_search():
+    # figure-1 batches, drawn as the engine draws them
+    errors = 0
+    for cfg, _ in cli.figure_config(1, None, None, None):
+        const = make_constellation(cfg.scheme, cfg.order)
+        mn = cfg.grid.frame_size
+        ops = np.stack([engine._path_operator(s, cfg) for s in cfg.paths])
+        assert len(ops) == 1 and kernels._is_diagonal(ops[0])
+        cand_idx, cand_pts = modem.enumerate_candidates(const, mn)
+        hamming = engine._hamming_table(const)
+        nf = engine.BATCH_FRAMES
+        for pt_idx, snr_db in enumerate(cfg.snr_db):
+            sigma = math.sqrt(1.0 / 10.0 ** (snr_db / 10.0))
+            rng = make_stream(cfg.master_seed, pt_idx, 0)
+            gains = sample_nakagami_gains(cfg.paths, rng, nf)
+            sym_idx = rng.integers(0, const.order, (nf, mn))
+            noise = (rng.standard_normal((nf, mn))
+                     + 1j * rng.standard_normal((nf, mn))) * (sigma / math.sqrt(2.0))
+            batch = (ops, gains, sym_idx, noise, const.points, cand_idx,
+                     cand_pts, hamming)
+            got = kernels.matrix_frame_errors(*batch)
+            assert got == kernels._joint_frame_errors(*batch)
+            errors += got[0]
+    assert errors > 0
+
+
+def test_diagonal_route_ties_resolve_to_candidate_0():
+    # with every gain zero all candidates tie; ml_detect picks candidate 0,
+    # and the symbol-wise route picks point 0 on every symbol
+    batch = list(make_batch("otfs-one-path-bpsk", 7, 0.3, 64))
+    batch[1] = np.zeros_like(batch[1])
+    ops, _, sym_idx, _, _, cand_idx, _, hamming = batch
+    assert kernels._is_diagonal(ops[0])
+    per_frame = hamming[cand_idx[0], sym_idx].sum(axis=1)
+    assert per_frame.sum() > 0
+    assert kernels.matrix_frame_errors(*batch) == (
+        int(per_frame.sum()), int((per_frame ** 2).sum()))
+
+
+GRID_2X2 = OtfsGrid(M=2, N=2)
+
+
+@pytest.mark.parametrize("ops,routed", [
+    pytest.param(path_ops(GRID_2X2, ONE_PATH, "otfs"), True, id="one-path"),
+    pytest.param(np.eye(4)[None] + 1e-6 * (1 - np.eye(4)), False,
+                 id="off-diagonal-1e-6"),
+    pytest.param(path_ops(GRID_2X2, (PathSpec(m=1, omega=1.0, l=1),), "otfs"),
+                 False, id="delayed-path"),
+    pytest.param(path_ops(GRID_2X2, (PathSpec(m=1, omega=1.0, kappa=0.3),),
+                          "otfs"), False, id="fractional-doppler"),
+    pytest.param(path_ops(GRID_2X2, ONE_PATH * 2, "otfs"), False, id="two-paths"),
+])
+def test_only_one_diagonal_operator_takes_the_symbol_wise_route(
+        monkeypatch, ops, routed):
+    _, gains, sym_idx, noise, points, cand_idx, cand_pts, hamming = make_batch(
+        "otfs-one-path-bpsk", 3, 0.3, 256)
+    batch = (ops, np.repeat(gains, len(ops), axis=1), sym_idx, noise, points,
+             cand_idx, cand_pts, hamming)
+    calls, real = [], kernels.diag_frame_errors
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "diag_frame_errors", spy)
+    assert kernels.matrix_frame_errors(*batch) == direct_metric_errors(*batch)
+    assert len(calls) == routed
 
 
 def test_active_backend_reports_known_name():
