@@ -16,6 +16,12 @@ SINR = (Es/N0) / (1 + S) through specfun.erfc_gamma_average, the same
 average behind the paper's Meijer-G form (multiuser_ber_paper_form), and
 semi_analytic_mc_ber estimates it from drawn interference powers.  The SINR
 distribution and density (sinr_cdf, sinr_pdf) are kept as printed.
+
+scipy loads on first use, not when this module is imported: in
+specfun.erfc_gamma_average (so multiuser_ber and multiuser_ber_paper_form),
+in sinr_cdf (scipy.special.gammainc) and in semi_analytic_mc_ber
+(scipy.special.erfc).  The Monte Carlo sweeps and siso_ber are numpy only,
+and their cold start does not pay for the scipy import.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from . import specfun
 from .errors import (ConfigError, DegenerateScalesError, DomainError,
@@ -316,6 +321,8 @@ def sinr_cdf(y: float, es_n0: float, approx: SinrGammaApprox) -> float:
     """
     if not (0.0 < y <= es_n0):
         raise DomainError(f"y must lie in (0, Es/N0] = (0, {es_n0}], got {y}")
+    from scipy import special
+
     arg = (es_n0 / y - 1.0) / approx.omega_z
     return float(special.gammainc(approx.m_z, arg))
 
@@ -402,6 +409,8 @@ def semi_analytic_mc_ber(es_n0: float, desired, interferers, mod: ModErrorParams
     flat = [p for user in interferers for p in user]
     if not flat:
         return deterministic_ber(es_n0, mod), 0.0
+    from scipy import special
+
     # one float array, transformed in place: S, SINR, then erfc(sqrt(B SINR))
     x = sample_total_power(flat, rng, trials)
     x *= es_n0

@@ -223,15 +223,21 @@ def run_sweep(config: SweepConfig, progress=None) -> BerCurve:
 def _detector(config: SweepConfig, constellation: Constellation,
               hamming: np.ndarray):
     """The chain's kernel with its set-up done once:
-    ``f(gains, sym_idx, noise) -> (errors, errors_sq)`` for one batch."""
+    ``f(gains, sym_idx, noise) -> (errors, errors_sq)`` for one batch.
+
+    Candidates are enumerated only for chains that take the joint search:
+    a chain the kernel detects symbol by symbol reads no candidate table,
+    so its frame size is not bounded by the ML capacity."""
     points = constellation.points
     if config.waveform == "ofdm" and config.ofdm_chain == "cp":
         phi, scale = _cp_ofdm_subcarrier_response(config)
         return lambda gains, sym_idx, noise: kernels.diag_frame_errors(
             phi, scale, gains, sym_idx, noise, points, hamming)
     ops = np.stack([_path_operator(spec, config) for spec in config.paths])
-    cand_idx, cand_pts = modem.enumerate_candidates(constellation,
-                                                    config.grid.frame_size)
+    cand_idx = cand_pts = None
+    if not kernels.symbol_wise(ops):
+        cand_idx, cand_pts = modem.enumerate_candidates(constellation,
+                                                        config.grid.frame_size)
     return lambda gains, sym_idx, noise: kernels.matrix_frame_errors(
         ops, gains, sym_idx, noise, points, cand_idx, cand_pts, hamming)
 

@@ -32,8 +32,8 @@ paragraph), with ``phi = diag(A_0)`` and unit scale, makes those per-symbol
 decisions; the lowest point index per symbol is the lexicographically first
 joint minimiser, so ties resolve as ``modem.ml_detect`` resolves them.
 "Diagonal" means every off-diagonal entry has modulus at most
-``_DIAGONAL_RTOL`` times the smallest diagonal modulus, an ``O(MN^2)`` test
-made on every call.
+``_DIAGONAL_RTOL`` times the smallest diagonal modulus (``symbol_wise``), an
+``O(MN^2)`` test made on every call.
 
 Subcarrier-diagonal frames (conventional CP-OFDM) see one flat gain per
 symbol, ``lambda = sum_p h_p phi_p``, so ML factorizes into per-symbol
@@ -83,10 +83,15 @@ def _per_frame_totals(per_frame: np.ndarray) -> tuple:
 # Matrix-channel frames: the frame's effective channel is sum_p h_p * A_p.
 # ---------------------------------------------------------------------------
 
-def _is_diagonal(A) -> bool:
-    """True when A's off-diagonal entries are negligible (``_DIAGONAL_RTOL``)."""
-    d = np.diagonal(A)
-    off = np.abs(A - np.diag(d)).max()
+def symbol_wise(A_ops) -> bool:
+    """True when ``matrix_frame_errors`` detects frames over these path
+    operators symbol by symbol: one path whose operator's off-diagonal
+    entries are negligible (``_DIAGONAL_RTOL``).  Such batches read no
+    candidate table."""
+    if len(A_ops) != 1:
+        return False
+    d = np.diagonal(A_ops[0])
+    off = np.abs(A_ops[0] - np.diag(d)).max()
     return bool(off <= _DIAGONAL_RTOL * np.abs(d).min())
 
 
@@ -98,13 +103,14 @@ def matrix_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
     into points; noise (F, MN); cand_idx / cand_pts (C, MN) the candidate
     index and symbol vectors; hamming (order, order) bit distances.
 
-    One path with a diagonal operator is exact ML symbol by symbol: it goes
-    to ``diag_frame_errors`` with ``phi = diag(A_0)`` and unit scale, which
-    resolves ties to the lowest point index per symbol, i.e. to the
-    lexicographically first joint minimiser (module docstring).  Every other
-    batch takes the joint search over all C candidates.
+    One path with a diagonal operator (``symbol_wise``) is exact ML symbol
+    by symbol: it goes to ``diag_frame_errors`` with ``phi = diag(A_0)`` and
+    unit scale, which resolves ties to the lowest point index per symbol,
+    i.e. to the lexicographically first joint minimiser (module docstring),
+    and reads neither cand_idx nor cand_pts, which may then be None.  Every
+    other batch takes the joint search over all C candidates.
     """
-    if len(A_ops) == 1 and _is_diagonal(A_ops[0]):
+    if symbol_wise(A_ops):
         return diag_frame_errors(np.diagonal(A_ops[0])[None], 1.0, gains,
                                  sym_idx, noise, points, hamming)
     return _joint_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,

@@ -11,6 +11,12 @@ u = ln W on a window and breakpoint read off the log integrand, with a
 relative tolerance only, so that values far below 1 keep their digits.  A
 residue series of the Meijer-G instance (_meijer_series) stays as an
 independent cross-check.  No general Meijer-G engine is provided.
+
+scipy loads on first use, inside erfc_gamma_average (scipy.integrate and
+scipy.special), not when this module is imported: importing scipy.integrate
+pulls in scipy.optimize, scipy.sparse.linalg and scipy.linalg, which would
+be most of the cold start of the routes that never call it (the Monte
+Carlo sweeps and analytic.siso_ber).
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ import math
 import sys
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import DomainError, NumericError
 
@@ -72,6 +77,8 @@ def erfc_gamma_average(x: float, m_z: float, b: float = 1.0,
             raise DomainError(f"{name} must be finite and positive, got {value}")
     if not (math.isfinite(shift) and shift >= 0):
         raise DomainError(f"shift must be finite and nonnegative, got {shift}")
+    from scipy import integrate, special
+
     bx = b * x
     ln_gm = math.lgamma(m_z)
 

@@ -262,7 +262,8 @@ class TestCliCommands:
 
     def test_capacity_error_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"
-        cfg.write_text("grid_m = 4\ngrid_n = 4\nscheme = qpsk\n")
+        # a delayed path needs the joint search over 4^16 candidates
+        cfg.write_text("grid_m = 4\ngrid_n = 4\nscheme = qpsk\npath1 = 1,1.0,1\n")
         rc = main(["sweep", "--config", str(cfg), "--snr", "0:10:10",
                    "--out", str(tmp_path / "x.csv")] + fast_args())
         assert rc == 3

@@ -108,11 +108,37 @@ class TestRunSweep:
         assert all(len(t) == 4 for t in seen)
 
     def test_capacity_error_propagates(self):
+        # a delayed path needs the joint search: 4^16 candidates exceed the cap
         cfg = SweepConfig(grid=OtfsGrid(M=4, N=4), scheme="qpsk", order=4,
-                          paths=(PathSpec(m=1, omega=1.0),), snr_db=(0.0,),
+                          paths=(PathSpec(m=1, omega=1.0, l=1),), snr_db=(0.0,),
                           max_frames=100, target_bit_errors=10)
         with pytest.raises(CapacityError):
             run_sweep(cfg)
+
+    def test_symbol_wise_chain_runs_past_the_capacity(self):
+        # one l = k = 0 path reads no candidate table, so 4x4 QPSK runs, and
+        # its counts are the diagonal kernel's on the same draws
+        cfg = SweepConfig(grid=OtfsGrid(M=4, N=4), scheme="qpsk", order=4,
+                          paths=(PathSpec(m=1, omega=1.0),), snr_db=(0.0, 10.0),
+                          max_frames=3000, target_bit_errors=10 ** 9)
+        curve = run_sweep(cfg)
+        const = modem.make_constellation("qpsk", 4)
+        hamming = engine._hamming_table(const)
+        phi = np.diagonal(engine._path_operator(cfg.paths[0], cfg))[None]
+        mn = cfg.grid.frame_size
+        for pt_idx, point in enumerate(curve.points):
+            sigma = math.sqrt(10.0 ** (-point.snr_db / 10.0))
+            rng = make_stream(cfg.master_seed, pt_idx, 0)
+            gains = sample_nakagami_gains(cfg.paths, rng, 3000)
+            sym_idx = rng.integers(0, 4, (3000, mn))
+            noise = (rng.standard_normal((3000, mn))
+                     + 1j * rng.standard_normal((3000, mn))) * (sigma / math.sqrt(2.0))
+            e, e_sq = kernels.diag_frame_errors(phi, 1.0, gains, sym_idx, noise,
+                                                const.points, hamming)
+            assert e > 0
+            assert point.bit_errors == e
+            assert point.bits == 3000 * mn * 2
+            assert point.se == engine.clustered_se(e, e_sq, 3000, mn * 2)
 
     def test_analytic_column_attached(self):
         curve = run_sweep(small_config())

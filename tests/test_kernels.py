@@ -158,7 +158,7 @@ def test_diagonal_route_counts_equal_the_joint_search():
         const = make_constellation(cfg.scheme, cfg.order)
         mn = cfg.grid.frame_size
         ops = np.stack([engine._path_operator(s, cfg) for s in cfg.paths])
-        assert len(ops) == 1 and kernels._is_diagonal(ops[0])
+        assert kernels.symbol_wise(ops)
         cand_idx, cand_pts = modem.enumerate_candidates(const, mn)
         hamming = engine._hamming_table(const)
         nf = engine.BATCH_FRAMES
@@ -183,7 +183,7 @@ def test_diagonal_route_ties_resolve_to_candidate_0():
     batch = list(make_batch("otfs-one-path-bpsk", 7, 0.3, 64))
     batch[1] = np.zeros_like(batch[1])
     ops, _, sym_idx, _, _, cand_idx, _, hamming = batch
-    assert kernels._is_diagonal(ops[0])
+    assert kernels.symbol_wise(ops)
     per_frame = hamming[cand_idx[0], sym_idx].sum(axis=1)
     assert per_frame.sum() > 0
     assert kernels.matrix_frame_errors(*batch) == (
@@ -218,6 +218,7 @@ def test_only_one_diagonal_operator_takes_the_symbol_wise_route(
     monkeypatch.setattr(kernels, "diag_frame_errors", spy)
     assert kernels.matrix_frame_errors(*batch) == direct_metric_errors(*batch)
     assert len(calls) == routed
+    assert kernels.symbol_wise(ops) == routed
 
 
 def test_active_backend_reports_known_name():

@@ -2,7 +2,6 @@
 (mpmath, direct quadrature, or an elementary identity)."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -134,7 +133,7 @@ class TestErfcGammaAverage:
     def test_nonconvergence_raises(self, monkeypatch):
         def quad(f, a, c, **kw):
             return 0.5, 0.1, {}, "the maximum number of subdivisions has been achieved"
-        monkeypatch.setattr(specfun, "integrate", SimpleNamespace(quad=quad))
+        monkeypatch.setattr("scipy.integrate.quad", quad)
         with pytest.raises(NumericError, match="did not converge") as exc:
             specfun.erfc_gamma_average(3.0, 2.0)
         assert math.isfinite(exc.value.estimate)
