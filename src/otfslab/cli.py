@@ -210,17 +210,16 @@ def _fmt(value: float) -> str:
 
 
 def curve_rows(curve: BerCurve) -> list:
+    """CSV data rows: the estimate cells are blank where a point has no
+    estimate (NaN BER, closed-form-only), the count cells where it counted
+    no bits (semi-analytic or closed-form-only)."""
     rows = []
     for p in curve.points:
-        if p.mc_valid:
+        mc = lo = hi = errs = bits = ""
+        if p.ber == p.ber:
             mc, lo, hi = _fmt(p.ber), _fmt(p.ci_low), _fmt(p.ci_high)
+        if p.bits:
             errs, bits = str(p.bit_errors), str(p.bits)
-        elif p.bits == 0 and p.ber == p.ber and curve.config is not None and \
-                curve.config.mode == "simo-semianalytic":
-            mc, lo, hi = _fmt(p.ber), _fmt(p.ci_low), _fmt(p.ci_high)
-            errs, bits = "", ""
-        else:
-            mc = lo = hi = errs = bits = ""
         rows.append(f"{_fmt(p.snr_db)},{mc},{lo},{hi},{_fmt(p.analytic_ber)},"
                     f"{errs},{bits},{curve.waveform},{curve.preset}")
     return rows

@@ -78,10 +78,6 @@ class BerPoint:
     # single-frame point has no such variance and reports inf
     se: float = 0.0
 
-    @property
-    def mc_valid(self) -> bool:
-        return self.bits > 0
-
 
 @dataclass(frozen=True)
 class BerCurve:
@@ -97,15 +93,16 @@ class BerCurve:
         raise KeyError(f"no point at {snr_db} dB")
 
 
-def wilson_interval(errors: int, trials: int, confidence: float = 0.95) -> tuple:
-    """Wilson score interval for a binomial proportion."""
+# two-sided 95% normal quantile, shared by the Wilson and the normal intervals
+_Z95 = 1.959963984540054
+
+
+def wilson_interval(errors: int, trials: int) -> tuple:
+    """Wilson score interval at 95% confidence for a binomial proportion."""
     if trials <= 0 or errors < 0 or errors > trials:
         raise ConfigError(f"need 0 <= errors <= trials with trials > 0, "
                           f"got ({errors}, {trials})")
-    z = {0.90: 1.6448536269514722, 0.95: 1.959963984540054,
-         0.99: 2.5758293035489004}.get(confidence)
-    if z is None:
-        raise ConfigError(f"unsupported confidence level {confidence}")
+    z = _Z95
     p = errors / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -140,15 +137,6 @@ def _hamming_table(constellation: Constellation) -> np.ndarray:
     return (labels[:, None, :] != labels[None, :, :]).sum(axis=2).astype(np.int64)
 
 
-def _path_operator(spec: PathSpec, config: SweepConfig) -> np.ndarray:
-    """Image of one unit-gain path on the detected symbol vector."""
-    ch = modem.build_channel_matrix([(1.0, spec.l, spec.k, spec.kappa)],
-                                    config.grid)
-    if config.waveform == "otfs":
-        return ch.H_eff
-    return modem.ofdm_effective_channel(ch.H, config.grid)
-
-
 def _cp_ofdm_guard(grid: OtfsGrid) -> tuple:
     """CP length and the share of the frame energy the data symbols carry.
 
@@ -161,24 +149,28 @@ def _cp_ofdm_guard(grid: OtfsGrid) -> tuple:
     return l_cp, grid.M / (grid.M + l_cp)
 
 
-def _cp_ofdm_subcarrier_response(config: SweepConfig) -> tuple:
-    """Per-path subcarrier response and the CP amplitude factor."""
+def _path_operator(spec: PathSpec, config: SweepConfig) -> np.ndarray:
+    """Image of one unit-gain path on the detected symbol vector.
+
+    On the CP-OFDM chain the cyclic prefix makes each OFDM symbol see a
+    circulant delay with one Doppler phase per symbol (quasi-static), so the
+    path acts on the frame as kron(Delta_N^(k+kappa), Pi_M^l) and the
+    per-symbol DFT diagonalises it: the operator is the diagonal of that
+    image, scaled by the data symbols' amplitude sqrt(share).
+    """
     grid = config.grid
-    M, N = grid.M, grid.N
-    l_cp, share = _cp_ofdm_guard(grid)
-    for spec in config.paths:
+    if config.waveform == "ofdm" and config.ofdm_chain == "cp":
+        l_cp, share = _cp_ofdm_guard(grid)
         if spec.l > l_cp:
             raise ConfigError(f"path delay {spec.l} exceeds the CP length {l_cp}")
-    scale = math.sqrt(share)
-    phi = np.empty((len(config.paths), M * N), dtype=np.complex128)
-    q = np.arange(M)
-    for p, spec in enumerate(config.paths):
-        sub = np.exp(-2j * np.pi * q * spec.l / M)
-        for n in range(N):
-            # quasi-static Doppler: one phase per OFDM symbol
-            rot = np.exp(2j * np.pi * (spec.k + spec.kappa) * n / N)
-            phi[p, n * M:(n + 1) * M] = rot * sub
-    return phi, scale
+        H = modem.ofdm_effective_channel(
+            np.kron(modem.doppler_matrix(grid.N, spec.k + spec.kappa),
+                    modem.cyclic_shift_matrix(grid.M, spec.l)), grid)
+        return math.sqrt(share) * np.diag(np.diagonal(H))
+    ch = modem.build_channel_matrix([(1.0, spec.l, spec.k, spec.kappa)], grid)
+    if config.waveform == "otfs":
+        return ch.H_eff
+    return modem.ofdm_effective_channel(ch.H, grid)
 
 
 def analytic_reference(config: SweepConfig, es_n0: float,
@@ -225,14 +217,12 @@ def _detector(config: SweepConfig, constellation: Constellation,
     """The chain's kernel with its set-up done once:
     ``f(gains, sym_idx, noise) -> (errors, errors_sq)`` for one batch.
 
-    Candidates are enumerated only for chains that take the joint search:
-    a chain the kernel detects symbol by symbol reads no candidate table,
-    so its frame size is not bounded by the ML capacity."""
+    Every chain is its path operators fed to ``kernels.matrix_frame_errors``.
+    Candidates are enumerated only where that kernel takes the joint search:
+    a chain whose operators are all diagonal (CP-OFDM always, one l = k =
+    kappa = 0 path otherwise) is detected symbol by symbol and reads no
+    candidate table, so its frame size is not bounded by the ML capacity."""
     points = constellation.points
-    if config.waveform == "ofdm" and config.ofdm_chain == "cp":
-        phi, scale = _cp_ofdm_subcarrier_response(config)
-        return lambda gains, sym_idx, noise: kernels.diag_frame_errors(
-            phi, scale, gains, sym_idx, noise, points, hamming)
     ops = np.stack([_path_operator(spec, config) for spec in config.paths])
     cand_idx = cand_pts = None
     if not kernels.symbol_wise(ops):
@@ -315,8 +305,8 @@ def _run_semianalytic(config: SweepConfig, progress=None) -> BerCurve:
         # map yields in point order, whatever order the points finish in
         for pt_idx, (ber, se) in enumerate(pool.map(point, range(len(es_n0s)))):
             snr_db, es_n0 = config.snr_db[pt_idx], es_n0s[pt_idx]
-            lo = max(0.0, ber - 1.959963984540054 * se)
-            hi = min(1.0, ber + 1.959963984540054 * se)
+            lo = max(0.0, ber - _Z95 * se)
+            hi = min(1.0, ber + _Z95 * se)
             out.append(BerPoint(snr_db=float(snr_db), bit_errors=0, bits=0,
                                 ber=ber, ci_low=lo, ci_high=hi,
                                 analytic_ber=analytic_reference(config, es_n0, mod),

@@ -111,23 +111,19 @@ def max_doppler_hz(fc_hz: float, speed_mps: float) -> float:
 
 
 def eva_grid_placement(grid, fc_hz: float, speed_mps: float, P: int,
-                       rng: np.random.Generator, shapes=None) -> tuple:
+                       rng: np.random.Generator) -> tuple:
     """Place P paths on the grid from the EVA profile with Jakes Doppler.
 
     The strongest P EVA taps are kept, renormalized to unit total power, and
-    assigned to delay bins 0..P-1.  Each path's Doppler is nu_max * cos(theta)
-    with theta uniform, quantized to the nearest integer Doppler bin
-    (kappa = 0); at vehicular speeds and kilohertz-scale bin widths every
-    path quantizes to bin zero.
+    assigned to delay bins 0..P-1 as Rayleigh (m = 1) paths.  Each path's
+    Doppler is nu_max * cos(theta) with theta uniform, quantized to the
+    nearest integer Doppler bin (kappa = 0); at vehicular speeds and
+    kilohertz-scale bin widths every path quantizes to bin zero.
     """
     if P < 1:
         raise ConfigError(f"need at least one path, got {P}")
     if P > grid.M:
         raise ConfigError(f"P = {P} exceeds the {grid.M} available delay bins")
-    if shapes is None:
-        shapes = [1] * P
-    if len(shapes) != P:
-        raise ConfigError(f"expected {P} shapes, got {len(shapes)}")
 
     powers_lin = np.array([10.0 ** (p / 10.0) for p in EVA_POWERS_DB])
     strongest = np.sort(np.argsort(powers_lin)[::-1][:P])
@@ -141,6 +137,6 @@ def eva_grid_placement(grid, fc_hz: float, speed_mps: float, P: int,
         theta = rng.uniform(0.0, 2.0 * math.pi)
         nu = nu_max * math.cos(theta)
         k = int(round(nu * frame_duration))
-        specs.append(PathSpec(m=int(shapes[p]), omega=float(omegas[p]),
+        specs.append(PathSpec(m=1, omega=float(omegas[p]),
                               l=p, k=k, kappa=0.0))
     return tuple(specs)

@@ -2,8 +2,8 @@
 
 There is one backend, numpy.
 
-Matrix-channel frames (OTFS, and the shared-H OFDM reference) see the
-effective channel ``H = sum_p h_p A_p``, with the path operators ``A_p``
+Frames of every chain (OTFS, CP-OFDM and the shared-H OFDM reference) see
+the effective channel ``H = sum_p h_p A_p``, with the path operators ``A_p``
 fixed per preset.  Exhaustive ML minimises the expanded metric
 
     ||y - H c||^2 = ||y||^2 - 2 Re sum_p h_p <y, A_p c>
@@ -23,29 +23,27 @@ candidates' distances agree to rounding.  Each frame's decision depends on
 that frame's inputs alone, so error counts do not depend on how frames are
 split into batches or chunks, and both returned sums are integer sums.
 
-A single path whose operator is diagonal (one path with l = k = kappa = 0,
-where ``A_0`` is the identity up to the DFT round trip) skips the joint
-search: ``H = h A_0`` is diagonal, so ``||y - H c||^2`` is a sum of
-per-symbol terms and the joint minimisers are exactly the symbol vectors
-that minimise every term.  The subcarrier-diagonal kernel (next
-paragraph), with ``phi = diag(A_0)`` and unit scale, makes those per-symbol
-decisions; the lowest point index per symbol is the lexicographically first
-joint minimiser, so ties resolve as ``modem.ml_detect`` resolves them.
-"Diagonal" means every off-diagonal entry has modulus at most
-``_DIAGONAL_RTOL`` times the smallest diagonal modulus (``symbol_wise``), an
-``O(MN^2)`` test made on every call.
-
-Subcarrier-diagonal frames (conventional CP-OFDM) see one flat gain per
-symbol, ``lambda = sum_p h_p phi_p``, so ML factorizes into per-symbol
-nearest-point decisions.  That kernel works on ``(MN, frames)`` blocks, frames
-on the long contiguous axis, in blocks of about ``_DIAG_BLOCK_SYMBOLS``
-symbols so the temporaries stay cache-resident.  It visits the constellation
-points in index order and keeps a running minimum distance per symbol; a
-decision moves to point ``c`` only where ``d_c`` is strictly smaller than the
-best so far, so ties resolve to the lowest point index as ``np.argmin`` does.
-Each ``d_c = |y - (scale lambda) p_c|^2`` is formed with the operations, and
-operand order, of the direct ``(F, MN, order)`` formula, so distances and
-decisions are bit-identical to it; no ``(F, MN, order)`` array is made.
+Frames whose path operators are all diagonal skip the joint search: then
+``H = sum_p h_p A_p`` is diagonal for every gain draw, with
+``lambda = sum_p h_p phi_p`` on its diagonal (``phi_p = diag(A_p)``), so
+``||y - H c||^2`` is a sum of per-symbol terms and the joint minimisers are
+exactly the symbol vectors that minimise every term.  This holds for the
+conventional CP-OFDM chain always (the per-symbol DFT diagonalises each
+path's circulant delay) and for one path with l = k = kappa = 0, whose
+operator is the identity up to the DFT round trip.  "Diagonal" means every
+off-diagonal entry has modulus at most ``_DIAGONAL_RTOL`` times the smallest
+diagonal modulus of its operator (``symbol_wise``), an ``O(P MN^2)`` test
+made on every call.  The symbol-wise kernel works on ``(MN, frames)``
+blocks, frames on the long contiguous axis, in blocks of about
+``_DIAG_BLOCK_SYMBOLS`` symbols so the temporaries stay cache-resident.  It
+visits the constellation points in index order and keeps a running minimum
+distance per symbol; a decision moves to point ``c`` only where ``d_c`` is
+strictly smaller than the best so far, so ties resolve to the lowest point
+index as ``np.argmin`` does, and the lowest point index per symbol is the
+lexicographically first joint minimiser, the rule of ``modem.ml_detect``.
+Each ``d_c = |y - (scale lambda) p_c|^2`` is formed with the operations,
+and operand order, of the direct ``(F, MN, order)`` formula, so distances
+and decisions are bit-identical to it; no ``(F, MN, order)`` array is made.
 """
 
 from __future__ import annotations
@@ -85,14 +83,15 @@ def _per_frame_totals(per_frame: np.ndarray) -> tuple:
 
 def symbol_wise(A_ops) -> bool:
     """True when ``matrix_frame_errors`` detects frames over these path
-    operators symbol by symbol: one path whose operator's off-diagonal
-    entries are negligible (``_DIAGONAL_RTOL``).  Such batches read no
-    candidate table."""
-    if len(A_ops) != 1:
-        return False
-    d = np.diagonal(A_ops[0])
-    off = np.abs(A_ops[0] - np.diag(d)).max()
-    return bool(off <= _DIAGONAL_RTOL * np.abs(d).min())
+    operators symbol by symbol: every operator's off-diagonal entries are
+    negligible (``_DIAGONAL_RTOL``), so every frame's channel is diagonal.
+    Such batches read no candidate table."""
+    n = A_ops.shape[-1]
+    mag = np.abs(A_ops).reshape(len(A_ops), n * n)
+    # a stride of n + 1 walks each flattened operator's diagonal
+    floor = _DIAGONAL_RTOL * mag[:, ::n + 1].min(axis=1)
+    mag[:, ::n + 1] = 0.0
+    return bool((mag.max(axis=1) <= floor).all())
 
 
 def matrix_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
@@ -103,16 +102,16 @@ def matrix_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
     into points; noise (F, MN); cand_idx / cand_pts (C, MN) the candidate
     index and symbol vectors; hamming (order, order) bit distances.
 
-    One path with a diagonal operator (``symbol_wise``) is exact ML symbol
-    by symbol: it goes to ``diag_frame_errors`` with ``phi = diag(A_0)`` and
-    unit scale, which resolves ties to the lowest point index per symbol,
-    i.e. to the lexicographically first joint minimiser (module docstring),
-    and reads neither cand_idx nor cand_pts, which may then be None.  Every
-    other batch takes the joint search over all C candidates.
+    Diagonal operators (``symbol_wise``) are exact ML symbol by symbol: the
+    batch goes to ``diag_frame_errors`` with ``phi = diag(A_p)`` and unit
+    scale, which resolves ties to the lowest point index per symbol, i.e. to
+    the lexicographically first joint minimiser (module docstring), and reads
+    neither cand_idx nor cand_pts, which may then be None.  Every other batch
+    takes the joint search over all C candidates.
     """
     if symbol_wise(A_ops):
-        return diag_frame_errors(np.diagonal(A_ops[0])[None], 1.0, gains,
-                                 sym_idx, noise, points, hamming)
+        return diag_frame_errors(np.diagonal(A_ops, axis1=1, axis2=2), 1.0,
+                                 gains, sym_idx, noise, points, hamming)
     return _joint_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
                                cand_pts, hamming)
 
@@ -147,12 +146,10 @@ def _joint_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
 
 
 # ---------------------------------------------------------------------------
-# Subcarrier-diagonal frames (conventional CP-OFDM): each subcarrier sees a
-# flat gain lambda_q = sum_p h_p phi[p, q]; per-block ML factorizes into
-# per-subcarrier nearest-point decisions because the block channel is
-# diagonal after the FFT.  Complex products keep the direct formula's operand
-# order (h_p phi_p, (scale lambda) p): with fused multiply-adds numpy's
-# complex product is not bitwise commutative.
+# Diagonal frames: symbol q sees the flat gain lambda_q = sum_p h_p phi[p, q],
+# so ML factorizes into per-symbol nearest-point decisions.  Complex products
+# keep the direct formula's operand order (h_p phi_p, (scale lambda) p): with
+# fused multiply-adds numpy's complex product is not bitwise commutative.
 # ---------------------------------------------------------------------------
 
 def _diag_rows(mn: int) -> int:
@@ -163,7 +160,7 @@ def _diag_rows(mn: int) -> int:
 def diag_frame_errors(phi, scale, gains, sym_idx, noise, points, hamming) -> tuple:
     """(bit errors, sum of squared per-frame errors) for diagonal frames.
 
-    phi (P, MN) per-path subcarrier responses; scale the data-symbol
+    phi (P, MN) the diagonals of the path operators; scale the data-symbol
     amplitude; gains (F, P); sym_idx (F, MN) indices into points;
     noise (F, MN); hamming (order, order) bit distances.
     """

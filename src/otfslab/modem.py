@@ -249,18 +249,18 @@ def _candidate_indices(order: int, n_sym: int) -> np.ndarray:
     return np.stack(grids, axis=-1).reshape(-1, n_sym)
 
 
-def enumerate_candidates(constellation: Constellation, n_sym: int,
-                         cap: int = DEFAULT_ML_CAP) -> tuple:
-    """(index matrix, symbol matrix) of all |A|^n_sym hypotheses."""
+def enumerate_candidates(constellation: Constellation, n_sym: int) -> tuple:
+    """(index matrix, symbol matrix) of all |A|^n_sym hypotheses, at most
+    DEFAULT_ML_CAP of them."""
     required = constellation.order ** n_sym
-    if required > cap:
-        raise CapacityError(required, cap)
+    if required > DEFAULT_ML_CAP:
+        raise CapacityError(required, DEFAULT_ML_CAP)
     idx = _candidate_indices(constellation.order, n_sym)
     return idx, constellation.points[idx]
 
 
-def ml_detect(y: np.ndarray, H_eff: np.ndarray, constellation: Constellation,
-              cap: int = DEFAULT_ML_CAP) -> np.ndarray:
+def ml_detect(y: np.ndarray, H_eff: np.ndarray,
+              constellation: Constellation) -> np.ndarray:
     """Exhaustive ML: argmin over all symbol vectors of ||y - H_eff x||^2.
 
     Ties resolve to the lowest lexicographic symbol-index order (np.argmin
@@ -271,7 +271,7 @@ def ml_detect(y: np.ndarray, H_eff: np.ndarray, constellation: Constellation,
     n_sym = y.size
     if H_eff.shape != (n_sym, n_sym):
         raise ConfigError(f"H_eff shape {H_eff.shape} incompatible with y of length {n_sym}")
-    idx, cands = enumerate_candidates(constellation, n_sym, cap)
+    idx, cands = enumerate_candidates(constellation, n_sym)
     dist = np.abs(y[None, :] - cands @ H_eff.T) ** 2
     best = int(np.argmin(dist.sum(axis=1)))
     return idx[best]
@@ -285,8 +285,7 @@ def ofdm_effective_channel(H: np.ndarray, grid: OtfsGrid) -> np.ndarray:
 
 
 def ofdm_link(frame: DdFrame, channel: ChannelMatrices, constellation: Constellation,
-              noise: np.ndarray, grid: OtfsGrid, noise_domain: str = "time",
-              cap: int = DEFAULT_ML_CAP) -> tuple:
+              noise: np.ndarray, grid: OtfsGrid, noise_domain: str = "time") -> tuple:
     """CP-free OFDM reference sharing the channel realization with OTFS.
 
     Symbols are placed directly on the time-frequency grid, the effective
@@ -308,5 +307,5 @@ def ofdm_link(frame: DdFrame, channel: ChannelMatrices, constellation: Constella
         raise ConfigError(f"unknown noise domain {noise_domain!r}")
     H_ofdm = ofdm_effective_channel(channel.H, grid)
     y = H_ofdm @ x + w
-    detected = ml_detect(y, H_ofdm, constellation, cap)
+    detected = ml_detect(y, H_ofdm, constellation)
     return y, detected

@@ -136,7 +136,7 @@ def meijer_g_2313(x: float, m_z: float) -> float:
     return erfc_gamma_average(x, m_z)
 
 
-def _meijer_series(x: float, m_z: float, k_max: int = 400) -> float:
+def _meijer_series(x: float, m_z: float) -> float:
     """Residue series for the kernel: two families of simple poles plus 1.
 
     Undefined when m_z sits on a half-odd-integer (pole families collide) or
@@ -153,7 +153,7 @@ def _meijer_series(x: float, m_z: float, k_max: int = 400) -> float:
 
     ln_gm = math.lgamma(m_z)
     terms = [1.0]
-    for k in range(min(k_max, 160)):
+    for k in range(160):
         sign = -1.0 if k % 2 else 1.0
         # poles of Gamma(s + 1/2) at s = -(k + 1/2)
         t1 = (sign / math.factorial(k)) * _gamma_signed(m_z - 0.5 - k, ln_gm) \

@@ -116,29 +116,39 @@ class TestRunSweep:
             run_sweep(cfg)
 
     def test_symbol_wise_chain_runs_past_the_capacity(self):
-        # one l = k = 0 path reads no candidate table, so 4x4 QPSK runs, and
-        # its counts are the diagonal kernel's on the same draws
-        cfg = SweepConfig(grid=OtfsGrid(M=4, N=4), scheme="qpsk", order=4,
-                          paths=(PathSpec(m=1, omega=1.0),), snr_db=(0.0, 10.0),
-                          max_frames=3000, target_bit_errors=10 ** 9)
-        curve = run_sweep(cfg)
+        # diagonal operators read no candidate table, so 4x4 QPSK runs with
+        # one l = k = 0 OTFS path and with two CP-OFDM paths, one of them
+        # delayed and Doppler-shifted; the counts are the diagonal kernel's on
+        # the same draws, with the CP-OFDM amplitude passed as its scale
+        one_path = SweepConfig(grid=OtfsGrid(M=4, N=4), scheme="qpsk", order=4,
+                               paths=(PathSpec(m=1, omega=1.0),),
+                               snr_db=(0.0, 10.0), max_frames=3000,
+                               target_bit_errors=10 ** 9)
+        cp = dataclasses.replace(
+            one_path, waveform="ofdm", ofdm_chain="cp",
+            paths=(PathSpec(m=1, omega=0.5), PathSpec(m=2, omega=0.5, l=3, k=1)))
         const = modem.make_constellation("qpsk", 4)
         hamming = engine._hamming_table(const)
-        phi = np.diagonal(engine._path_operator(cfg.paths[0], cfg))[None]
-        mn = cfg.grid.frame_size
-        for pt_idx, point in enumerate(curve.points):
-            sigma = math.sqrt(10.0 ** (-point.snr_db / 10.0))
-            rng = make_stream(cfg.master_seed, pt_idx, 0)
-            gains = sample_nakagami_gains(cfg.paths, rng, 3000)
-            sym_idx = rng.integers(0, 4, (3000, mn))
-            noise = (rng.standard_normal((3000, mn))
-                     + 1j * rng.standard_normal((3000, mn))) * (sigma / math.sqrt(2.0))
-            e, e_sq = kernels.diag_frame_errors(phi, 1.0, gains, sym_idx, noise,
-                                                const.points, hamming)
-            assert e > 0
-            assert point.bit_errors == e
-            assert point.bits == 3000 * mn * 2
-            assert point.se == engine.clustered_se(e, e_sq, 3000, mn * 2)
+        mn = one_path.grid.frame_size
+        for cfg, (phi, scale) in (
+                (one_path,
+                 (np.diagonal(engine._path_operator(one_path.paths[0], one_path))[None],
+                  1.0)),
+                (cp, cp_response(cp))):
+            curve = run_sweep(cfg)
+            for pt_idx, point in enumerate(curve.points):
+                sigma = math.sqrt(10.0 ** (-point.snr_db / 10.0))
+                rng = make_stream(cfg.master_seed, pt_idx, 0)
+                gains = sample_nakagami_gains(cfg.paths, rng, 3000)
+                sym_idx = rng.integers(0, 4, (3000, mn))
+                noise = (rng.standard_normal((3000, mn))
+                         + 1j * rng.standard_normal((3000, mn))) * (sigma / math.sqrt(2.0))
+                e, e_sq = kernels.diag_frame_errors(phi, scale, gains, sym_idx,
+                                                    noise, const.points, hamming)
+                assert e > 0
+                assert point.bit_errors == e
+                assert point.bits == 3000 * mn * 2
+                assert point.se == engine.clustered_se(e, e_sq, 3000, mn * 2)
 
     def test_analytic_column_attached(self):
         curve = run_sweep(small_config())
@@ -149,6 +159,18 @@ class TestRunSweep:
 
 
 TWO_PATHS = (PathSpec(m=1, omega=2 / 3, l=0), PathSpec(m=2, omega=1 / 3, l=1))
+
+
+def cp_response(cfg):
+    """(phi, scale) of a CP-OFDM config from the modem's primitives: each
+    path's subcarrier response, the diagonal of kron(Delta_N^(k+kappa),
+    Pi_M^l) seen through the per-symbol DFT, and the data-symbol amplitude
+    sqrt(M / (2M - 1)), kept apart from phi."""
+    grid = cfg.grid
+    phi = np.stack([np.diagonal(modem.ofdm_effective_channel(
+        np.kron(modem.doppler_matrix(grid.N, s.k + s.kappa),
+                modem.cyclic_shift_matrix(grid.M, s.l)), grid)) for s in cfg.paths])
+    return phi, math.sqrt(grid.M / (2 * grid.M - 1))
 
 
 def kernel_sums(cfg, pt_idx, batch_sizes):
@@ -167,7 +189,7 @@ def kernel_sums(cfg, pt_idx, batch_sizes):
         noise = (rng.standard_normal((nf, mn))
                  + 1j * rng.standard_normal((nf, mn))) * (sigma / math.sqrt(2.0))
         if cfg.waveform == "ofdm":
-            phi, scale = engine._cp_ofdm_subcarrier_response(cfg)
+            phi, scale = cp_response(cfg)
             e, e_sq = kernels.diag_frame_errors(phi, scale, gains, sym_idx,
                                                 noise, points, hamming)
         else:

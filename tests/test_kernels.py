@@ -5,16 +5,20 @@ The matrix kernel is checked against the per-frame modem chain
 against a direct-metric reference ``argmin ||y - H_f c||^2`` on whole
 batches; its counts must not depend on how a batch is split into chunks.
 
-A single path with a diagonal operator takes the symbol-wise route inside
-the matrix kernel; its counts are checked against the same references and
-against the joint search on figure-1 batches, and operators that are not
+Diagonal operators take the symbol-wise route inside the matrix kernel; the
+counts of one l = k = 0 path are checked against the same references and
+against the joint search on figure-1 batches, and operators that are not all
 diagonal are checked to keep the joint search.
 
-The diagonal (CP-OFDM) kernel is checked against exhaustive joint ML over
-all ``order^MN`` symbol vectors, which tests the per-subcarrier
+The diagonal kernel is checked on CP-OFDM frames against exhaustive joint ML
+over all ``order^MN`` symbol vectors, which tests the per-subcarrier
 factorization, one frame at a time, and against the direct
 ``(F, MN, order)`` argmin formula on whole batches; its counts must not
-depend on how a batch is split into blocks.
+depend on how a batch is split into blocks.  Its inputs are the CP-OFDM
+subcarrier responses built here from the modem's primitives, with the data
+amplitude passed as the separate ``scale``; the engine folds that amplitude
+into the path operators instead, and the engine tests pin that this moves
+no count.
 """
 
 import math
@@ -201,14 +205,19 @@ GRID_2X2 = OtfsGrid(M=2, N=2)
                  False, id="delayed-path"),
     pytest.param(path_ops(GRID_2X2, (PathSpec(m=1, omega=1.0, kappa=0.3),),
                           "otfs"), False, id="fractional-doppler"),
-    pytest.param(path_ops(GRID_2X2, ONE_PATH * 2, "otfs"), False, id="two-paths"),
+    pytest.param(path_ops(GRID_2X2, ONE_PATH * 2, "otfs"), True, id="two-paths"),
+    pytest.param(path_ops(GRID_2X2, (PathSpec(m=1, omega=0.5),
+                                     PathSpec(m=1, omega=0.5, l=1)), "otfs"),
+                 False, id="identity-plus-delayed-path"),
 ])
 def test_only_one_diagonal_operator_takes_the_symbol_wise_route(
         monkeypatch, ops, routed):
+    # every operator diagonal, however many paths, takes the route
     _, gains, sym_idx, noise, points, cand_idx, cand_pts, hamming = make_batch(
         "otfs-one-path-bpsk", 3, 0.3, 256)
-    batch = (ops, np.repeat(gains, len(ops), axis=1), sym_idx, noise, points,
-             cand_idx, cand_pts, hamming)
+    # distinct phases per path keep the channel of two paths non-singular
+    gains = gains * np.exp(1j * np.arange(len(ops)))
+    batch = (ops, gains, sym_idx, noise, points, cand_idx, cand_pts, hamming)
     calls, real = [], kernels.diag_frame_errors
 
     def spy(*args):
@@ -226,7 +235,7 @@ def test_active_backend_reports_known_name():
 
 
 # ---------------------------------------------------------------------------
-# Subcarrier-diagonal (CP-OFDM) kernel
+# Diagonal kernel on CP-OFDM frames
 # ---------------------------------------------------------------------------
 
 # name -> (grid, scheme, paths) on the CP-OFDM chain
@@ -245,13 +254,28 @@ def diag_config(case):
                               paths=paths, waveform="ofdm", ofdm_chain="cp")
 
 
+def cp_operator(grid, spec):
+    """Path ``spec`` on a CP-OFDM frame: kron(Delta_N^(k+kappa), Pi_M^l) seen
+    through the per-symbol DFT."""
+    return modem.ofdm_effective_channel(
+        np.kron(modem.doppler_matrix(grid.N, spec.k + spec.kappa),
+                modem.cyclic_shift_matrix(grid.M, spec.l)), grid)
+
+
+def cp_response(cfg):
+    """(phi, scale): the per-path subcarrier responses and the data-symbol
+    amplitude sqrt(M / (2M - 1)) of a CP-OFDM config."""
+    phi = np.stack([np.diagonal(cp_operator(cfg.grid, s)) for s in cfg.paths])
+    return phi, math.sqrt(cfg.grid.M / (2 * cfg.grid.M - 1))
+
+
 def make_diag_batch(case, seed, sigma, nf):
     """diag_frame_errors arguments of one fixed-seed batch, drawn as the
     engine draws them."""
     cfg = diag_config(case)
     const = make_constellation(cfg.scheme)
     mn = cfg.grid.frame_size
-    phi, scale = engine._cp_ofdm_subcarrier_response(cfg)
+    phi, scale = cp_response(cfg)
     rng = make_stream(seed, 1)
     gains = sample_nakagami_gains(cfg.paths, rng, nf)
     sym_idx = rng.integers(0, const.order, (nf, mn))
@@ -314,7 +338,7 @@ def test_diag_kernel_matches_direct_formula_for_large_orders(scheme, order):
     cfg = engine.SweepConfig(grid=OtfsGrid(M=2, N=2), scheme=scheme, order=order,
                              paths=TWO_PATHS, waveform="ofdm", ofdm_chain="cp")
     const = make_constellation(scheme, order)
-    phi, scale = engine._cp_ofdm_subcarrier_response(cfg)
+    phi, scale = cp_response(cfg)
     rng = make_stream(9, order)
     gains = sample_nakagami_gains(cfg.paths, rng, 600)
     sym_idx = rng.integers(0, order, (600, 4))
@@ -359,16 +383,23 @@ def test_diag_kernel_counts_do_not_depend_on_splits(monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(DIAG_CASES))
 def test_cp_subcarrier_response_is_the_cp_ofdm_operator(case):
-    # path p acts on a CP-OFDM frame as kron(Delta_N^(k+kappa), Pi_M^l);
-    # the per-symbol DFT makes it diagonal with phi[p] on the diagonal
+    # path p acts on a CP-OFDM frame as kron(Delta_N^(k+kappa), Pi_M^l); the
+    # per-symbol DFT makes it diagonal, so the engine's operator is exactly
+    # diagonal, takes the symbol-wise route, and is sqrt(share) times the
+    # subcarrier response
     cfg = diag_config(case)
     grid = cfg.grid
-    phi, scale = engine._cp_ofdm_subcarrier_response(cfg)
-    assert scale == pytest.approx(math.sqrt(grid.M / (2 * grid.M - 1)), rel=1e-15)
+    ops = np.stack([engine._path_operator(s, cfg) for s in cfg.paths])
+    assert kernels.symbol_wise(ops)
+    phi, scale = cp_response(cfg)
     for p, s in enumerate(cfg.paths):
-        H = modem.ofdm_effective_channel(
-            np.kron(modem.doppler_matrix(grid.N, s.k + s.kappa),
-                    modem.cyclic_shift_matrix(grid.M, s.l)), grid)
-        assert np.allclose(np.diag(H), phi[p], rtol=0, atol=1e-12)
+        A = ops[p]
+        assert np.array_equal(A, np.diag(np.diagonal(A)))
+        assert np.array_equal(np.diagonal(A), scale * phi[p])
+        H = cp_operator(grid, s)
         assert np.allclose(H - np.diag(np.diag(H)), 0, rtol=0, atol=1e-12)
-
+        # the modem's diagonal is the closed-form subcarrier response
+        n, q = np.divmod(np.arange(grid.frame_size), grid.M)
+        want = (np.exp(2j * np.pi * (s.k + s.kappa) * n / grid.N)
+                * np.exp(-2j * np.pi * q * s.l / grid.M))
+        assert np.allclose(phi[p], want, rtol=0, atol=1e-12)
