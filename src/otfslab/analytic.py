@@ -257,10 +257,11 @@ def siso_ber(es_n0: float, paths, mod: ModErrorParams) -> float:
         raise DomainError(f"total Nakagami shape {sum(shapes):g} exceeds "
                           f"{MAX_TOTAL_SHAPE}, the largest siso_ber accepts")
     # -log of the MGF product at every node, sum_p m_p log1p(B mu_p csc^2)
-    x = np.multiply.outer(np.multiply(mod.B, mus), _CSC2)
+    x = np.multiply.outer([mod.B * mu for mu in mus], _CSC2)
     np.log1p(x, out=x)
     mgf = np.dot(shapes, x)
-    np.exp(-mgf, out=mgf)
+    np.negative(mgf, out=mgf)
+    np.exp(mgf, out=mgf)
     ser = mod.A / math.pi * float(_CRAIG_WEIGHTS @ mgf)
     if not ser >= sys.float_info.min:
         raise NumericError(f"BER at Es/N0 = {es_n0:g} is below the double range", ser)
@@ -392,12 +393,13 @@ def semi_analytic_mc_ber(es_n0: float, desired, interferers, mod: ModErrorParams
     """Monte Carlo over SINR realizations averaged through the conditional SER.
 
     Draws the interference power S = (Es/N0) * sum_p |h_p|^2 per trial with
-    fading.sample_total_power, which consumes `rng` exactly as
-    sample_nakagami_gains would, forms SINR = (Es/N0)/(1 + S), and averages
-    A*Q(sqrt(2*B*SINR))/log2(M).  The printed SINR carries no desired-channel
-    fading, so `desired` is unused.  Returns (ber, standard_error).  With no
-    interferers the result is the deterministic formula and the standard
-    error is zero.
+    fading.sample_total_power, which draws only the path powers and skips
+    the phases, so `rng` (a Philox stream from fading.make_stream; any other
+    raises TypeError) ends where sample_nakagami_gains would leave it.  It
+    forms SINR = (Es/N0)/(1 + S) and averages A*Q(sqrt(2*B*SINR))/log2(M).
+    The printed SINR carries no desired-channel fading, so `desired` is
+    unused.  Returns (ber, standard_error).  With no interferers the result
+    is the deterministic formula and the standard error is zero.
 
     The engine may call this from a worker thread, several points at once.
     It reads only `rng`, the stream its caller made for this point, and

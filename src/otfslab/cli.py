@@ -481,11 +481,11 @@ def cmd_figure(args) -> int:
     curves, notes = [], []
     for cfg, run_notes in runs:
         notes.extend(run_notes)
+        progress = _progress_printer(sys.stderr) if args.verbose else None
         if args.number in (1, 2):
-            curves.extend(engine.paired_comparison(
-                cfg, _progress_printer(sys.stderr) if args.verbose else None))
+            curves.extend(engine.paired_comparison(cfg, progress))
         else:
-            curves.append(engine.run_sweep(cfg))
+            curves.append(engine.run_sweep(cfg, progress))
     emit_csv(curves, args.out, notes=notes, config=runs[0][0])
     print(f"wrote {args.out} ({sum(len(c.points) for c in curves)} rows)")
     return 0

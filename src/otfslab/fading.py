@@ -14,8 +14,11 @@ followed by ``b *= omega / m`` gives the bits of ``rng.gamma(m, omega / m)``,
 whose variates are that scale times a standard Gamma variate; and
 ``rng.random(out=b)`` followed by ``b *= 2 pi`` gives the bits of
 ``rng.uniform(0, 2 pi)``, which is ``0 + 2 pi * random`` and reads one double
-per value, as ``random`` does.  So a power draw that only sums the powers
-needs one scratch buffer beside its result, however many paths there are.
+per value, as ``random`` does.  A draw that only sums the powers does not
+compute the phases at all: each double is one 64-bit Philox word, so it moves
+the stream past them by counter arithmetic and lands where drawing them would
+have left it.  Its first path's powers go straight into the sum, so a one-path
+sum holds one array and a longer one two, however many paths there are.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ SPEED_OF_LIGHT = 3.0e8  # m/s
 # 3GPP EVA power-delay profile: tap delays [ns] and relative powers [dB]
 EVA_DELAYS_NS = (0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510.0)
 EVA_POWERS_DB = (0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9)
+
+# Philox4x64 counter step: four 64-bit words, one per double drawn
+_PHILOX_WORDS = 4
+_WORD_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -60,48 +67,81 @@ def make_stream(master_seed: int, *stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _path_draws(specs, rng: np.random.Generator, power: np.ndarray,
-                phase: np.ndarray):
-    """Draw each path in turn into the given buffers: Gamma(m, omega/m)
-    powers into ``power``, then uniform phases on [0, 2 pi) into ``phase``.
+def _skip_doubles(rng: np.random.Generator, n: int) -> None:
+    """Move a Philox stream past ``n`` doubles without computing them.
 
-    Yields ``(p, "power")`` after the powers of path p and ``(p, "phase")``
-    after its phases.  A caller that reads the powers at the first yield may
-    pass one buffer as both.
+    Philox4x64 makes four 64-bit words per counter step and a double reads
+    one word.  Past the words left in the current block, the whole blocks
+    are added to the counter through the state dict (which keeps
+    ``has_uint32`` and ``uinteger``; ``Philox.advance`` zeroes them) and
+    the remainder is drawn, so every later draw sees the variates it would
+    have seen after ``rng.random(n)``.
     """
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    head = min(n, _PHILOX_WORDS - state["buffer_pos"])
+    blocks, tail = divmod(n - head, _PHILOX_WORDS)
+    if not blocks:
+        bitgen.random_raw(n)
+        return
+    words = state["state"]["counter"]
+    counter = sum(int(w) << (64 * i) for i, w in enumerate(words)) + blocks
+    state["state"]["counter"] = np.array(
+        [(counter >> (64 * i)) & _WORD_MASK for i in range(len(words))], dtype=np.uint64)
+    state["buffer_pos"] = _PHILOX_WORDS
+    bitgen.state = state
+    bitgen.random_raw(tail)
+
+
+def _path_draws(specs, rng: np.random.Generator, powers, phase):
+    """Draw each path in turn, Gamma(m, omega/m) powers into ``powers[p]``
+    and then uniform phases on [0, 2 pi) into ``phase``, and yield p.
+
+    A ``phase`` of None skips the phases (_skip_doubles) and needs a Philox
+    stream; any other generator raises TypeError before anything is drawn.
+    """
+    if phase is None and not isinstance(rng.bit_generator, np.random.Philox):
+        raise TypeError(f"skipping phases needs a Philox stream (make_stream), "
+                        f"got {type(rng.bit_generator).__name__}")
     for p, spec in enumerate(specs):
+        power = powers[p]
         rng.standard_gamma(spec.m, out=power)
         power *= spec.omega / spec.m
-        yield p, "power"
-        rng.random(out=phase)
-        phase *= 2.0 * math.pi
-        yield p, "phase"
+        if phase is None:
+            _skip_doubles(rng, power.size)
+        else:
+            rng.random(out=phase)
+            phase *= 2.0 * math.pi
+        yield p
 
 
 def sample_nakagami_gains(specs, rng: np.random.Generator, size: int) -> np.ndarray:
     """Vectorized draw: (size, len(specs)) complex gains, one column per path."""
     out = np.empty((size, len(specs)), dtype=np.complex128)
     power, phase = np.empty(size), np.empty(size)
-    for p, drawn in _path_draws(specs, rng, power, phase):
-        if drawn == "phase":
-            out[:, p] = np.sqrt(power) * np.exp(1j * phase)
+    for p in _path_draws(specs, rng, [power] * len(specs), phase):
+        out[:, p] = np.sqrt(power) * np.exp(1j * phase)
     return out
 
 
 def sample_total_power(specs, rng: np.random.Generator, size: int) -> np.ndarray:
     """(size,) sums over paths of the powers |h_p|^2.
 
-    Consumes the stream exactly as sample_nakagami_gains does: each path's
-    phase is drawn and discarded, so the next path's powers, and any later
+    Leaves ``rng``, which must be a Philox stream (make_stream; any other
+    raises TypeError), where sample_nakagami_gains would: each path's phases
+    are skipped rather than drawn, so the next path's powers, and any later
     draw, are the same variates as there.  The sums equal those of the
-    gains' squared magnitudes to within rounding.  Powers and discarded
-    phases share one scratch buffer, so two arrays of ``size`` are live.
+    gains' squared magnitudes to within rounding.  The first path's powers
+    are drawn into the sums and the others into one scratch buffer, so one
+    array of ``size`` is live for one path and two for more.
     """
     total = np.zeros(size)
-    scratch = np.empty(size)
-    for _p, drawn in _path_draws(specs, rng, scratch, scratch):
-        if drawn == "power":
-            total += scratch
+    powers = [total]
+    if len(specs) > 1:
+        powers += [np.empty(size)] * (len(specs) - 1)
+    for p in _path_draws(specs, rng, powers, None):
+        if p:
+            total += powers[p]
     return total
 
 

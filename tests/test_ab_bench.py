@@ -59,6 +59,51 @@ def test_wins_losses_and_relative_median():
     assert rate["median_rel_worse"] == pytest.approx(0.0)
 
 
+def test_pair_ratio_quartiles_follow_the_pairs():
+    # a host that flips between a fast and a slow regime: the third pair
+    # straddles a flip, which moves the change's median into the slow
+    # regime (+50%), while every other pair reads the two sides equal
+    runs = []
+    for seed, (p, c) in enumerate(zip([1.0, 1.0, 1.0, 1.5, 1.5],
+                                      [1.0, 1.0, 1.5, 1.5, 1.5])):
+        runs += [run("parent", seed, p, 1.0), run("change", seed, c, 1.0)]
+    sweep = ab_bench.summarize(runs, METRICS)["analytic"]["sweep_s"]
+    assert sweep["median_rel_worse"] == pytest.approx(0.5)
+    assert sweep["pair_ratio"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+    # the quartiles of the ratios, not the ratio of the quartiles
+    runs = [run("parent", 1, 1.0, 100.0), run("change", 1, 0.5, 150.0),
+            run("parent", 2, 2.0, 100.0), run("change", 2, 2.5, 100.0),
+            run("parent", 3, 3.0, 100.0), run("change", 3, 1.0, 50.0)]
+    s = ab_bench.summarize(runs, METRICS)["analytic"]
+    assert s["sweep_s"]["pair_ratio"] == pytest.approx(
+        {"median": 0.5, "q1": 5 / 12, "q3": 0.875})
+    assert s["frames_per_s"]["pair_ratio"] == pytest.approx(
+        {"median": 1.0, "q1": 0.75, "q3": 1.25})
+
+
+def test_pair_ratio_skips_a_zero_parent():
+    runs = [run("parent", 1, 0.0, 100.0), run("change", 1, 0.1, 100.0),
+            run("parent", 2, 2.0, 100.0), run("change", 2, 1.0, 100.0)]
+    sweep = ab_bench.summarize(runs, METRICS)["analytic"]["sweep_s"]
+    assert sweep["pair_ratio"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+    zero = ab_bench.summarize(runs[:2], METRICS)["analytic"]["sweep_s"]
+    assert zero["pair_ratio"] is None
+
+
+def test_figure_run_records_cpu_rss_and_minor_faults(tmp_path, monkeypatch):
+    # a stand-in for the CLI that writes 64 MB, page by page, and its CSV
+    monkeypatch.setattr(ab_bench, "FIGURE_MAIN",
+                        "import sys; b = b'x' * 64_000_000; "
+                        "open(sys.argv[-1], 'w').write('# note\\n1,2\\n')")
+    csv = tmp_path / "f.csv"
+    rec = ab_bench.figure_run(ab_bench.ROOT, "change", 3, str(csv))
+    assert rec["rc"] == 0 and rec["command"] == "otfslab figure 3"
+    assert rec["peak_rss_mb"] >= 64
+    assert rec["minflt"] >= 64_000_000 // os.sysconf("SC_PAGE_SIZE") // 2
+    assert rec["wall_s"] >= rec["cpu_s"] * 0.5 >= 0
+    assert ab_bench.data_rows(str(csv)) == ["1,2\n"]
+
+
 def test_higher_is_better_sign():
     runs = [run("parent", 1, 1.0, 100.0), run("change", 1, 1.0, 80.0)]
     rate = ab_bench.summarize(runs, METRICS)["analytic"]["frames_per_s"]

@@ -225,6 +225,14 @@ class TestCliCommands:
         assert paired == sorted(alone[0] + alone[1],
                                 key=lambda line: int(line.split()[2]))
 
+    def test_verbose_semianalytic_figure_prints_each_point(self, tmp_path, capsys):
+        # one report per point and curve, in point order, each of 200 000 trials
+        assert main(["figure", "3", "--verbose", "--out", str(tmp_path / "f3.csv")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        per_curve = [f"  {snr:5.1f} dB: 200000 frames, 0 bit errors"
+                     for snr in range(0, 21, 2)]
+        assert err == per_curve * 2
+
     def test_analytic_multiuser_matches_the_oracle(self, tmp_path,
                                                   gamma_average_oracle):
         # one weak interferer: the SER lies far below the scale an absolute

@@ -96,7 +96,9 @@ class TestGenerateChannel:
 # P = 1, 2, 3, mixed shapes and non-integer shapes
 POWER_SPEC_SETS = {
     "p1": (PathSpec(m=1, omega=1.0),),
+    "p1-non-integer": (PathSpec(m=2.5, omega=1.0),),
     "p2-mixed": (PathSpec(m=1, omega=2 / 3, l=0), PathSpec(m=2, omega=1 / 3, l=1)),
+    "p2-non-integer": (PathSpec(m=0.7, omega=0.6), PathSpec(m=1.3, omega=0.4, l=1)),
     "p3-mixed": (PathSpec(m=3, omega=0.5), PathSpec(m=1, omega=0.3, l=1),
                  PathSpec(m=2, omega=0.2, l=2)),
     "p3-non-integer": (PathSpec(m=0.5, omega=0.2), PathSpec(m=1.5, omega=0.5, l=1),
@@ -115,16 +117,47 @@ def drawn_in_order(specs, rng, size):
     return np.stack(powers, axis=1), np.stack(gains, axis=1)
 
 
+# each size leaves a different remainder in Philox's 4-word block
+ALIGN_SIZES = (1, 2, 3, 4, 5, 257, 4099)
+
+
 class TestTotalPower:
-    """sample_total_power reads the stream exactly as sample_nakagami_gains."""
+    """sample_total_power leaves the stream where sample_nakagami_gains does."""
 
     @pytest.mark.parametrize("name", sorted(POWER_SPEC_SETS))
     def test_stream_stays_aligned(self, name):
+        # the caller first reads 0..3 doubles, so the skip starts at every
+        # buffer position too
         specs = POWER_SPEC_SETS[name]
-        a, b = make_stream(31, 4), make_stream(31, 4)
-        fading.sample_total_power(specs, a, 257)
-        fading.sample_nakagami_gains(specs, b, 257)
-        assert np.array_equal(a.random(8), b.random(8))
+        for size in ALIGN_SIZES:
+            for lead in range(4):
+                a, b = make_stream(31, size, lead), make_stream(31, size, lead)
+                for rng in (a, b):
+                    rng.random(lead)
+                fading.sample_total_power(specs, a, size)
+                fading.sample_nakagami_gains(specs, b, size)
+                assert np.array_equal(a.random(9), b.random(9)), (size, lead)
+
+    def test_a_pending_int32_half_word_is_kept(self):
+        # an int32 draw leaves the other half of its word in has_uint32 and
+        # uinteger, which Philox.advance would zero
+        specs = POWER_SPEC_SETS["p2-mixed"]
+        a, b = make_stream(35, 0), make_stream(35, 0)
+        for rng in (a, b):
+            rng.integers(0, 1000, dtype=np.int32)
+        assert a.bit_generator.state["has_uint32"] == 1
+        fading.sample_total_power(specs, a, 4099)
+        fading.sample_nakagami_gains(specs, b, 4099)
+        assert np.array_equal(a.integers(0, 1000, 9, dtype=np.int32),
+                              b.integers(0, 1000, 9, dtype=np.int32))
+        assert np.array_equal(a.random(9), b.random(9))
+
+    def test_a_non_philox_stream_raises_before_drawing(self):
+        rng = np.random.Generator(np.random.PCG64(36))
+        before = rng.bit_generator.state
+        with pytest.raises(TypeError, match="Philox"):
+            fading.sample_total_power(POWER_SPEC_SETS["p1"], rng, 16)
+        assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("name", sorted(POWER_SPEC_SETS))
     def test_equals_summed_squared_magnitudes(self, name):
@@ -145,18 +178,19 @@ class TestTotalPower:
         assert np.array_equal(total, powers.sum(axis=1))
         assert np.array_equal(drawn.view(np.int64), gains.view(np.int64))
 
-
     def test_draws_in_place(self):
-        # the sums and one scratch buffer: a draw that allocated per path
-        # (powers, then phases, beside the sums) peaks at five arrays
+        # one path draws into the sums; more add one scratch buffer.  A draw
+        # that allocated per path (powers, then phases, beside the sums)
+        # peaks at five arrays
         size = 200_000
-        tracemalloc.start()
-        try:
-            fading.sample_total_power(POWER_SPEC_SETS["p3-mixed"], make_stream(34, 0), size)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * 8 * size
+        for name, arrays in (("p1", 1), ("p2-mixed", 2), ("p3-mixed", 2)):
+            tracemalloc.start()
+            try:
+                fading.sample_total_power(POWER_SPEC_SETS[name], make_stream(34, 0), size)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= (arrays + 0.5) * 8 * size, name
 
 
 class TestEvaPlacement:

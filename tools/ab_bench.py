@@ -23,9 +23,11 @@ The JSON written to ``--out`` holds every run and, per workload and metric
 listed in ``BENCHMARK.json``, the median and quartiles of each side, the
 pairs the change wins and loses, ``median_rel_worse``: how much worse
 the change's median is than the parent's, relative to it (negative when
-better), next to the metric's bound, and ``gain_shown``: whether the change
-wins at least nine tenths of the pairs run and its median is better than
-the parent's by more than the parent's quartile spread.
+better), next to the metric's bound, ``pair_ratio``: the median and quartiles
+of change / parent taken pair by pair, which a host flipping between speed
+regimes moves less than the two medians, and ``gain_shown``:
+whether the change wins at least nine tenths of the pairs run and its median
+is better than the parent's by more than the parent's quartile spread.
 """
 
 from __future__ import annotations
@@ -99,7 +101,9 @@ def summarize(runs, metrics) -> dict:
     """Per workload and metric: both sides' quartiles, wins and losses of the
     change over the pairs where both sides succeeded, the relative
     difference of the medians (positive when the change is worse; None
-    when the parent's median is 0), and ``gain_shown`` over all pairs run.
+    when the parent's median is 0), the quartiles of the per-pair ratio
+    change / parent over the pairs whose parent reads nonzero (None when
+    there are none), and ``gain_shown`` over all pairs run.
 
     ``runs`` are run records with side, workload, seed, rc and a flat
     ``metrics`` dict; ``metrics`` are BENCHMARK.json entries (name, better
@@ -120,11 +124,13 @@ def summarize(runs, metrics) -> dict:
             parent = quartiles([p for p, _ in pairs])
             change = quartiles([c for _, c in pairs])
             base = parent["median"]
+            ratios = [c / p for p, c in pairs if p]
             entry[name] = {
                 "parent": parent, "change": change,
                 "change_wins": sum(sign * (c - p) < 0 for p, c in pairs),
                 "change_losses": sum(sign * (c - p) > 0 for p, c in pairs),
                 "median_rel_worse": sign * (change["median"] - base) / abs(base) if base else None,
+                "pair_ratio": quartiles(ratios) if ratios else None,
             }
             entry[name]["gain_shown"] = gain_shown(entry[name], pairs_run, sign)
             if "bound" in m:
@@ -179,8 +185,8 @@ def bench_run(root: str, side: str, workload: str, seed: int, first: str,
 
 
 def figure_run(root: str, side: str, number: int, csv_path: str) -> dict:
-    """Wall and CPU seconds and peak RSS of one `otfslab figure N` in its own
-    process."""
+    """Wall and CPU seconds, peak RSS and minor page faults of one
+    `otfslab figure N` in its own process."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     cmd = [sys.executable, "-c", FIGURE_MAIN, "figure", str(number), "--out", csv_path]
     t0 = perf_counter()
@@ -191,7 +197,8 @@ def figure_run(root: str, side: str, number: int, csv_path: str) -> dict:
     proc.returncode = os.waitstatus_to_exitcode(status)
     return {"command": f"otfslab figure {number}", "side": side, "rc": proc.returncode,
             "wall_s": round(wall, 3), "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
-            "peak_rss_mb": round(usage.ru_maxrss * 1024 / 1e6, 1)}
+            "peak_rss_mb": round(usage.ru_maxrss * 1024 / 1e6, 1),
+            "minflt": usage.ru_minflt}
 
 
 def data_rows(path: str) -> list:
