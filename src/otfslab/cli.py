@@ -14,7 +14,8 @@ Exit codes: 0 success, 2 configuration error, 3 capacity error,
 Every CSV embeds its resolved configuration as ``# cfg key = value`` comment
 lines; feeding the CSV back through ``--config`` reproduces the data rows
 byte for byte; their ``workers`` line, if any, is ignored.  ``--verbose``
-prints a line per running chain every ten batches (OTFS first).
+prints a line per running chain every ten batches (OTFS first), and a line
+of trials per semi-analytic point.
 """
 
 from __future__ import annotations
@@ -344,9 +345,15 @@ def figure_config(number: int, seed: int | None, target_errors: int | None,
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _progress_printer(stream):
+def _progress_printer(stream, config: SweepConfig):
     """Print a point's counts every ten batches.  Paired chains report a
-    batch in turn, so a repeat of the frame count just printed prints too."""
+    batch in turn, so a repeat of the frame count just printed prints too.
+    A semi-analytic point reports once, when it is done, so it prints one
+    line of trials."""
+    if config.mode == "simo-semianalytic":
+        def per_point(pt_idx, snr_db, trials, errors):
+            print(f"  {snr_db:5.1f} dB: {trials} trials", file=stream)
+        return per_point
     printed = {}
 
     def cb(pt_idx, snr_db, frames, errors):
@@ -387,7 +394,7 @@ def _load_config(args) -> SweepConfig:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    curve = engine.run_sweep(cfg, _progress_printer(sys.stderr) if args.verbose else None)
+    curve = engine.run_sweep(cfg, _progress_printer(sys.stderr, cfg) if args.verbose else None)
     notes = []
     if cfg.mode == "simo-semianalytic" and not cfg.interferers:
         notes.append(INTERFERENCE_FREE_NOTE)
@@ -416,7 +423,7 @@ def cmd_analytic(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
     otfs, ofdm = engine.paired_comparison(
-        cfg, _progress_printer(sys.stderr) if args.verbose else None)
+        cfg, _progress_printer(sys.stderr, cfg) if args.verbose else None)
     emit_csv([otfs, ofdm], args.out, config=cfg,
              notes=[f"ofdm baseline: {cfg.ofdm_chain} chain"])
     for wf, curve in (("otfs", otfs), ("ofdm", ofdm)):
@@ -481,7 +488,7 @@ def cmd_figure(args) -> int:
     curves, notes = [], []
     for cfg, run_notes in runs:
         notes.extend(run_notes)
-        progress = _progress_printer(sys.stderr) if args.verbose else None
+        progress = _progress_printer(sys.stderr, cfg) if args.verbose else None
         if args.number in (1, 2):
             curves.extend(engine.paired_comparison(cfg, progress))
         else:

@@ -218,14 +218,17 @@ def _detector(config: SweepConfig, constellation: Constellation,
     ``f(gains, sym_idx, noise) -> (errors, errors_sq)`` for one batch.
 
     Every chain is its path operators fed to ``kernels.matrix_frame_errors``.
-    Candidates are enumerated only where that kernel takes the joint search:
-    a chain whose operators are all diagonal (CP-OFDM always, one l = k =
-    kappa = 0 path otherwise) is detected symbol by symbol and reads no
-    candidate table, so its frame size is not bounded by the ML capacity."""
+    The frame's candidates are enumerated only where that kernel reads them,
+    when the operators leave one ``kernels.independent_blocks`` block of more
+    than one symbol.  A chain whose operators are all diagonal (CP-OFDM
+    always, one l = k = kappa = 0 path otherwise) is detected symbol by
+    symbol, and one that splits into several blocks (integer delays and
+    Dopplers) block by block, so the ML capacity bounds its largest block,
+    not its frame."""
     points = constellation.points
     ops = np.stack([_path_operator(spec, config) for spec in config.paths])
     cand_idx = cand_pts = None
-    if not kernels.symbol_wise(ops):
+    if not kernels.symbol_wise(ops) and len(kernels.independent_blocks(ops)) == 1:
         cand_idx, cand_pts = modem.enumerate_candidates(constellation,
                                                         config.grid.frame_size)
     return lambda gains, sym_idx, noise: kernels.matrix_frame_errors(

@@ -23,19 +23,35 @@ candidates' distances agree to rounding.  Each frame's decision depends on
 that frame's inputs alone, so error counts do not depend on how frames are
 split into batches or chunks, and both returned sums are integer sums.
 
-Frames whose path operators are all diagonal skip the joint search: then
+Independent blocks.  Symbols i and j are linked when some operator has
+``|A_p[i, j]| > _DIAGONAL_RTOL * max|A_p|`` (the largest modulus, since a
+delayed path's diagonal is zero), and the blocks are the connected
+components of the links (``independent_blocks``).  No operator mixes two
+blocks, so for every gain draw ``H`` is block diagonal up to a permutation
+and ``||y - H c||^2`` is a sum of per-block terms: exact ML detects each
+block on its own, over ``order^s_k`` candidates of its ``s_k`` symbols, and
+the lexicographically first joint minimiser is the combination of each
+block's lexicographically first minimiser (at the first symbol where another
+joint minimiser differs, that symbol's block already prefers the lower
+index).  With integer delays and Dopplers every path operator is a
+phase-weighted cyclic shift on the delay-Doppler grid, so the paper's 2x2
+grid with paths at l = 0 and l = 1 splits into {0, 1} and {2, 3}: 2 x 16
+candidates instead of 256.  A fractional Doppler spreads a path over the
+Doppler axis and may leave one block, which is the plain joint search.
+Entries within the tolerance are numerical residue of the DFT round trip;
+detection neglects them, so it can differ from the full metric only where
+two candidates' distances agree to about that tolerance.
+
+Blocks of one symbol are the diagonal case (``symbol_wise``): then
 ``H = sum_p h_p A_p`` is diagonal for every gain draw, with
-``lambda = sum_p h_p phi_p`` on its diagonal (``phi_p = diag(A_p)``), so
-``||y - H c||^2`` is a sum of per-symbol terms and the joint minimisers are
-exactly the symbol vectors that minimise every term.  This holds for the
-conventional CP-OFDM chain always (the per-symbol DFT diagonalises each
-path's circulant delay) and for one path with l = k = kappa = 0, whose
-operator is the identity up to the DFT round trip.  "Diagonal" means every
-off-diagonal entry has modulus at most ``_DIAGONAL_RTOL`` times the smallest
-diagonal modulus of its operator (``symbol_wise``), an ``O(P MN^2)`` test
-made on every call.  The symbol-wise kernel works on ``(MN, frames)``
-blocks, frames on the long contiguous axis, in blocks of about
-``_DIAG_BLOCK_SYMBOLS`` symbols so the temporaries stay cache-resident.  It
+``lambda = sum_p h_p phi_p`` on its diagonal (``phi_p = diag(A_p)``), and
+each symbol's lowest minimising point index is the lexicographically first
+joint minimiser.  This holds for the conventional CP-OFDM chain always (the
+per-symbol DFT diagonalises each path's circulant delay) and for one path
+with l = k = kappa = 0, whose operator is the identity up to the DFT round
+trip.  The symbol-wise kernel works on ``(MN, frames)`` arrays, frames on
+the long contiguous axis, about ``_DIAG_BLOCK_SYMBOLS`` symbols at a time so
+the temporaries stay cache-resident.  It
 visits the constellation points in index order and keeps a running minimum
 distance per symbol; a decision moves to point ``c`` only where ``d_c`` is
 strictly smaller than the best so far, so ties resolve to the lowest point
@@ -48,14 +64,18 @@ and decisions are bit-identical to it; no ``(F, MN, order)`` array is made.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from . import modem
 
 # Bytes of the (chunk, C) float64 block of candidate metrics: frames are
 # processed in row chunks sized so that the block stays about this large.
 _CHUNK_BYTES = 8 << 20
 
-# An operator counts as diagonal when no off-diagonal entry's modulus exceeds
-# this times the smallest diagonal modulus.
+# An operator entry links its row and column symbols when its modulus exceeds
+# this times the operator's largest modulus.
 _DIAGONAL_RTOL = 1e-12
 
 # Symbols per (MN, frames) block of the diagonal kernel: frames are processed
@@ -77,21 +97,63 @@ def _per_frame_totals(per_frame: np.ndarray) -> tuple:
     return int(per_frame.sum()), int((per_frame ** 2).sum())
 
 
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // 64) * 64
+
+
+def _nbytes(specs) -> int:
+    """Bytes ``_carve`` takes for these (shape, dtype) pairs."""
+    return sum(_aligned(math.prod(shape) * np.dtype(dtype).itemsize)
+               for shape, dtype in specs)
+
+
+def _carve(buf, specs) -> list:
+    """Arrays of the given (shape, dtype) pairs, laid out one after another
+    from the start of the uint8 array buf at 64-byte boundaries."""
+    out, start = [], 0
+    for shape, dtype in specs:
+        n = math.prod(shape) * np.dtype(dtype).itemsize
+        out.append(buf[start:start + n].view(dtype).reshape(shape))
+        start += _aligned(n)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Matrix-channel frames: the frame's effective channel is sum_p h_p * A_p.
 # ---------------------------------------------------------------------------
 
+def _support(A_ops) -> np.ndarray:
+    """(MN, MN) bool: entry (i, j) of some operator exceeds ``_DIAGONAL_RTOL``
+    times that operator's largest modulus."""
+    mag = np.abs(A_ops)
+    return (mag > _DIAGONAL_RTOL * mag.max(axis=(1, 2), keepdims=True)).any(axis=0)
+
+
 def symbol_wise(A_ops) -> bool:
     """True when ``matrix_frame_errors`` detects frames over these path
-    operators symbol by symbol: every operator's off-diagonal entries are
-    negligible (``_DIAGONAL_RTOL``), so every frame's channel is diagonal.
-    Such batches read no candidate table."""
-    n = A_ops.shape[-1]
-    mag = np.abs(A_ops).reshape(len(A_ops), n * n)
-    # a stride of n + 1 walks each flattened operator's diagonal
-    floor = _DIAGONAL_RTOL * mag[:, ::n + 1].min(axis=1)
-    mag[:, ::n + 1] = 0.0
-    return bool((mag.max(axis=1) <= floor).all())
+    operators symbol by symbol: no operator links two symbols, i.e. every
+    ``independent_blocks`` block has one symbol and every frame's channel is
+    diagonal.  Such batches read no candidate table."""
+    links = _support(A_ops)
+    np.fill_diagonal(links, False)
+    return not links.any()
+
+
+def independent_blocks(A_ops) -> list:
+    """The symbol index sets that no operator mixes (module docstring): the
+    connected components of the operators' joint support, each as ascending
+    indices, ordered by their lowest index."""
+    reach = _support(A_ops)
+    reach |= reach.T
+    np.fill_diagonal(reach, True)
+    while True:
+        # squaring doubles the path length reach covers
+        wider = reach @ reach
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    lowest = reach.argmax(axis=1)
+    return [np.flatnonzero(lowest == i) for i in np.unique(lowest)]
 
 
 def matrix_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
@@ -100,49 +162,116 @@ def matrix_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
 
     A_ops (P, MN, MN) path operators; gains (F, P); sym_idx (F, MN) indices
     into points; noise (F, MN); cand_idx / cand_pts (C, MN) the candidate
-    index and symbol vectors; hamming (order, order) bit distances.
+    index and symbol vectors of the whole frame; hamming (order, order) bit
+    distances.
 
-    Diagonal operators (``symbol_wise``) are exact ML symbol by symbol: the
-    batch goes to ``diag_frame_errors`` with ``phi = diag(A_p)`` and unit
-    scale, which resolves ties to the lowest point index per symbol, i.e. to
-    the lexicographically first joint minimiser (module docstring), and reads
-    neither cand_idx nor cand_pts, which may then be None.  Every other batch
-    takes the joint search over all C candidates.
+    Exact ML with ``ml_detect``'s tie rule, by ``independent_blocks`` (module
+    docstring):
+
+    - every block one symbol (``symbol_wise``, checked first): the batch
+      goes to ``diag_frame_errors`` with ``phi = diag(A_p)`` and unit scale;
+    - one block: the joint search over the C given candidates;
+    - several blocks: one search per block over the lexicographic table of
+      its symbols (``modem.candidate_indices``), which raises
+      ``CapacityError`` when the largest block has too many candidates.
+
+    Only the one-block route reads cand_idx and cand_pts; elsewhere they may
+    be None.
     """
     if symbol_wise(A_ops):
         return diag_frame_errors(np.diagonal(A_ops, axis1=1, axis2=2), 1.0,
                                  gains, sym_idx, noise, points, hamming)
-    return _joint_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
-                               cand_pts, hamming)
+    blocks = independent_blocks(A_ops)
+    if len(blocks) == 1:
+        tables = [(cand_idx, cand_pts)]
+    else:
+        tables = []
+        for b in blocks:
+            idx = modem.candidate_indices(len(points), len(b))
+            tables.append((idx, points[idx]))
+    return _block_frame_errors(A_ops, blocks, tables, gains, sym_idx, noise,
+                               points, hamming)
 
 
-def _joint_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
-                        cand_pts, hamming) -> tuple:
-    """``matrix_frame_errors`` by the joint search over all candidates."""
+def _block_frame_errors(A_ops, blocks, tables, gains, sym_idx, noise, points,
+                        hamming) -> tuple:
+    """``matrix_frame_errors`` by one search per block: block k holds the
+    symbols ``blocks[k]`` and ``tables[k]`` is its (index, symbol) candidate
+    table.  One block over all symbols does the arithmetic of a single joint
+    search.
+
+    The batch-sized work arrays are carved out of one allocation per call,
+    the arrays of successive steps from the same bytes.  Freed, that block
+    raises glibc's dynamic mmap threshold above the batch's other
+    temporaries, as the joint search's metric block did; as a dozen arrays
+    of a few hundred KiB they let glibc trim and regrow its heap on every
+    batch, and the page faults cost more than the smaller search saves.
+    """
     P, MN, _ = A_ops.shape
-    C = len(cand_pts)
     F = len(gains)
-    # metric[f, c] - ||y_f||^2 = Re(feat[f] . W[:, c]) with
-    # feat[f] = [conj(h_p) h_q, -2 h_p conj(y_i)], W[:, c] = [G[p, q, c], (A_p c)_i]
-    AC = np.matmul(cand_pts[None], A_ops.transpose(0, 2, 1))
-    G = np.einsum("pci,qci->pqc", AC.conj(), AC)
-    W = np.concatenate([G.reshape(P * P, C),
-                        AC.transpose(0, 2, 1).reshape(P * MN, C)])
+    ctype = np.result_type(points, A_ops, gains, noise)
+    rtype = np.finfo(ctype).dtype
+    itype = tables[0][0].dtype
+    smax = max(len(b) for b in blocks)
+    n_metric = max(min(_chunk_rows(len(pts)), F) * len(pts) for _, pts in tables)
+    kept = [((F, MN), ctype), ((F, P), ctype), ((F, P * P), ctype),
+            ((F,), np.intp), ((F, MN), itype)]
+    steps = ([((F, MN), points.dtype), ((P, F, MN), ctype)],
+             [((F * smax,), ctype), ((F * P * smax,), ctype),
+              ((F * 2 * (P * P + P * smax),), rtype), ((n_metric,), rtype),
+              ((F * smax,), itype)],
+             [((F, MN), hamming.dtype)])
+    n_work = max(_nbytes(step) for step in steps)
+    arena = np.empty(_nbytes(kept) + n_work, np.uint8)
+    y, h, gp, best, det = _carve(arena, kept)
+    work = arena[arena.size - n_work:]
 
-    y = np.einsum("fp,pfi->fi", gains,
-                  np.matmul(points[sym_idx], A_ops.transpose(0, 2, 1))) + noise
-    feat = np.concatenate([
-        (gains.conj()[:, :, None] * gains[:, None, :]).reshape(F, P * P),
-        (-2.0 * gains[:, :, None] * y.conj()[:, None, :]).reshape(F, P * MN)],
-        axis=1)
-    # Re(a . b) = [Re a, Im a] . [Re b, -Im b]: one real product per chunk
-    feat = np.concatenate([feat.real, feat.imag], axis=1)
-    W = np.concatenate([W.real, -W.imag])
-    best = np.empty(F, dtype=np.intp)
-    rows = _chunk_rows(C)
-    for lo in range(0, F, rows):
-        best[lo:lo + rows] = np.argmin(feat[lo:lo + rows] @ W, axis=1)
-    return _per_frame_totals(hamming[cand_idx[best], sym_idx].sum(axis=1))
+    # y = sum_p h_p A_p x + noise
+    x, ax = _carve(work, steps[0])
+    np.take(points, sym_idx, out=x, mode="clip")
+    np.einsum("fp,pfi->fi", gains, np.matmul(x, A_ops.transpose(0, 2, 1), out=ax),
+              out=y)
+    y += noise
+    # features [conj(h_p) h_q, -2 h_p conj(y_i)] of the block's symbols i
+    np.conjugate(gains, out=h)
+    np.multiply(h[:, :, None], gains[:, None, :], out=gp.reshape(F, P, P))
+    np.multiply(-2.0, gains, out=h)
+    yb_all, t_all, feat_all, metric_all, db_all = _carve(work, steps[1])
+    for b, (cand_idx, cand_pts) in zip(blocks, tables):
+        s, C = len(b), len(cand_pts)
+        A = A_ops[:, b[:, None], b]
+        # metric[f, c] - ||y_f||^2 = Re(feat[f] . W[:, c]) with
+        # W[:, c] = [G[p, q, c], (A_p c)_i]
+        AC = np.matmul(cand_pts[None], A.transpose(0, 2, 1))
+        G = np.einsum("pci,qci->pqc", AC.conj(), AC)
+        W = np.concatenate([G.reshape(P * P, C),
+                            AC.transpose(0, 2, 1).reshape(P * s, C)])
+        # Re(a . b) = [Re a, Im a] . [Re b, -Im b]: one real product per chunk
+        W = np.concatenate([W.real, -W.imag])
+        yb = np.take(y, b, axis=1, out=yb_all[:F * s].reshape(F, s), mode="clip")
+        t = t_all[:F * P * s].reshape(F, P * s)
+        np.multiply(h[:, :, None], np.conjugate(yb, out=yb)[:, None, :],
+                    out=t.reshape(F, P, s))
+        w = P * P + P * s
+        feat = feat_all[:F * 2 * w].reshape(F, 2 * w)
+        feat[:, :P * P] = gp.real
+        feat[:, P * P:w] = t.real
+        feat[:, w:w + P * P] = gp.imag
+        feat[:, w + P * P:] = t.imag
+        rows = _chunk_rows(C)
+        metric = metric_all[:min(rows, F) * C].reshape(-1, C)
+        for lo in range(0, F, rows):
+            n = min(rows, F - lo)
+            np.argmin(np.matmul(feat[lo:lo + n], W, out=metric[:n]), axis=1,
+                      out=best[lo:lo + n])
+        det[:, b] = np.take(cand_idx, best, axis=0,
+                            out=db_all[:F * s].reshape(F, s), mode="clip")
+    # bit errors per symbol from the flat (decision, sent) index
+    det *= len(points)
+    det += sym_idx
+    errors, = _carve(work, steps[2])
+    np.take(hamming.ravel(), det, out=errors, mode="clip")
+    return _per_frame_totals(errors.sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -246,16 +246,25 @@ def otfs_link(frame: DdFrame, channel: ChannelMatrices, noise: np.ndarray,
 @lru_cache(maxsize=16)
 def _candidate_indices(order: int, n_sym: int) -> np.ndarray:
     grids = np.meshgrid(*([np.arange(order)] * n_sym), indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, n_sym)
+    idx = np.stack(grids, axis=-1).reshape(-1, n_sym)
+    # every caller shares this array
+    idx.flags.writeable = False
+    return idx
+
+
+def candidate_indices(order: int, n_sym: int) -> np.ndarray:
+    """The order^n_sym index vectors of n_sym symbols in lexicographic order,
+    at most DEFAULT_ML_CAP of them; cached and read-only."""
+    required = order ** n_sym
+    if required > DEFAULT_ML_CAP:
+        raise CapacityError(required, DEFAULT_ML_CAP)
+    return _candidate_indices(order, n_sym)
 
 
 def enumerate_candidates(constellation: Constellation, n_sym: int) -> tuple:
     """(index matrix, symbol matrix) of all |A|^n_sym hypotheses, at most
     DEFAULT_ML_CAP of them."""
-    required = constellation.order ** n_sym
-    if required > DEFAULT_ML_CAP:
-        raise CapacityError(required, DEFAULT_ML_CAP)
-    idx = _candidate_indices(constellation.order, n_sym)
+    idx = candidate_indices(constellation.order, n_sym)
     return idx, constellation.points[idx]
 
 

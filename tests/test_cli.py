@@ -229,8 +229,17 @@ class TestCliCommands:
         # one report per point and curve, in point order, each of 200 000 trials
         assert main(["figure", "3", "--verbose", "--out", str(tmp_path / "f3.csv")]) == 0
         err = capsys.readouterr().err.splitlines()
-        per_curve = [f"  {snr:5.1f} dB: 200000 frames, 0 bit errors"
-                     for snr in range(0, 21, 2)]
+        per_curve = [f"  {snr:5.1f} dB: 200000 trials" for snr in range(0, 21, 2)]
+        assert err == per_curve * 2
+
+    def test_verbose_semianalytic_point_below_ten_batches_prints(self, tmp_path,
+                                                                 capsys):
+        # 20 000 trials per point are fewer than ten batches of frames; a
+        # semi-analytic point still reports once, in trials
+        assert main(["figure", "3", "--frames-max", "20000", "--verbose",
+                     "--out", str(tmp_path / "f3.csv")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        per_curve = [f"  {snr:5.1f} dB: 20000 trials" for snr in range(0, 21, 2)]
         assert err == per_curve * 2
 
     def test_analytic_multiuser_matches_the_oracle(self, tmp_path,
@@ -270,11 +279,25 @@ class TestCliCommands:
 
     def test_capacity_error_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"
-        # a delayed path needs the joint search over 4^16 candidates
-        cfg.write_text("grid_m = 4\ngrid_n = 4\nscheme = qpsk\npath1 = 1,1.0,1\n")
+        # a delayed path with a fractional Doppler leaves one block: the joint
+        # search over 4^16 candidates
+        cfg.write_text("grid_m = 4\ngrid_n = 4\nscheme = qpsk\n"
+                       "path1 = 1,1.0,1,0,0.3\n")
         rc = main(["sweep", "--config", str(cfg), "--snr", "0:10:10",
                    "--out", str(tmp_path / "x.csv")] + fast_args())
         assert rc == 3
+        assert "capacity error" in capsys.readouterr().err
+
+    def test_separable_4x4_qpsk_sweep_exits_0(self, tmp_path, capsys):
+        # one delayed path: 4 independent blocks of 4^4 candidates
+        cfg = tmp_path / "sep.cfg"
+        cfg.write_text("grid_m = 4\ngrid_n = 4\nscheme = qpsk\npath1 = 1,1.0,1\n")
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", "--config", str(cfg), "--snr", "0:10:10",
+                   "--out", str(out)] + fast_args())
+        assert rc == 0
+        assert len([r for r in out.read_text().splitlines()
+                    if not r.startswith("#")]) == 3
 
     def test_diversity_subcommand_fast(self, tmp_path, capsys):
         out = tmp_path / "div.csv"

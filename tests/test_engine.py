@@ -108,12 +108,57 @@ class TestRunSweep:
         assert all(len(t) == 4 for t in seen)
 
     def test_capacity_error_propagates(self):
-        # a delayed path needs the joint search: 4^16 candidates exceed the cap
+        # a delayed path with a fractional Doppler joins all 16 symbols into
+        # one block: its joint search over 4^16 candidates exceeds the cap
         cfg = SweepConfig(grid=OtfsGrid(M=4, N=4), scheme="qpsk", order=4,
-                          paths=(PathSpec(m=1, omega=1.0, l=1),), snr_db=(0.0,),
-                          max_frames=100, target_bit_errors=10)
+                          paths=(PathSpec(m=1, omega=1.0, l=1, kappa=0.3),),
+                          snr_db=(0.0,), max_frames=100, target_bit_errors=10)
         with pytest.raises(CapacityError):
             run_sweep(cfg)
+
+    def test_capacity_follows_the_largest_block(self):
+        # a delayed path on a 21x2 BPSK grid leaves 2 blocks of 21 symbols:
+        # 2^21 candidates each exceed the cap although no table of the whole
+        # frame is built
+        cfg = SweepConfig(grid=OtfsGrid(M=21, N=2), scheme="bpsk", order=2,
+                          paths=(PathSpec(m=1, omega=1.0, l=1),), snr_db=(0.0,),
+                          max_frames=100, target_bit_errors=10)
+        ops = np.stack([engine._path_operator(s, cfg) for s in cfg.paths])
+        assert [len(b) for b in kernels.independent_blocks(ops)] == [21, 21]
+        with pytest.raises(CapacityError) as err:
+            run_sweep(cfg)
+        assert err.value.required == 2 ** 21
+
+    def test_separable_chain_runs_past_the_capacity(self):
+        # one delayed path splits a 4x4 QPSK frame into 4 blocks of 4^4
+        # candidates, so the sweep runs where 4^16 would exceed the cap.  The
+        # operator is a phase-weighted permutation, so ML is the nearest point
+        # to (A^H y)_i / h symbol by symbol: an oracle that enumerates nothing
+        cfg = SweepConfig(grid=OtfsGrid(M=4, N=4), scheme="qpsk", order=4,
+                          paths=(PathSpec(m=1, omega=1.0, l=1),),
+                          snr_db=(0.0, 10.0), max_frames=3000,
+                          target_bit_errors=10 ** 9)
+        A = engine._path_operator(cfg.paths[0], cfg)
+        assert np.allclose(A.conj().T @ A, np.eye(16), rtol=0, atol=1e-12)
+        assert [len(b) for b in kernels.independent_blocks(A[None])] == [4] * 4
+        const = modem.make_constellation("qpsk", 4)
+        hamming = engine._hamming_table(const)
+        curve = run_sweep(cfg)
+        for pt_idx, point in enumerate(curve.points):
+            sigma = math.sqrt(10.0 ** (-point.snr_db / 10.0))
+            rng = make_stream(cfg.master_seed, pt_idx, 0)
+            gains = sample_nakagami_gains(cfg.paths, rng, 3000)
+            sym_idx = rng.integers(0, 4, (3000, 16))
+            noise = (rng.standard_normal((3000, 16))
+                     + 1j * rng.standard_normal((3000, 16))) * (sigma / math.sqrt(2.0))
+            y = gains[:, :1] * (const.points[sym_idx] @ A.T) + noise
+            z = (y @ A.conj()) / gains[:, :1]
+            det = np.argmin(np.abs(z[:, :, None] - const.points) ** 2, axis=2)
+            per_frame = hamming[det, sym_idx].sum(axis=1)
+            assert per_frame.sum() > 0
+            assert point.bit_errors == per_frame.sum()
+            assert point.se == engine.clustered_se(
+                int(per_frame.sum()), int((per_frame ** 2).sum()), 3000, 32)
 
     def test_symbol_wise_chain_runs_past_the_capacity(self):
         # diagonal operators read no candidate table, so 4x4 QPSK runs with

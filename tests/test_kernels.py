@@ -5,10 +5,13 @@ The matrix kernel is checked against the per-frame modem chain
 against a direct-metric reference ``argmin ||y - H_f c||^2`` on whole
 batches; its counts must not depend on how a batch is split into chunks.
 
-Diagonal operators take the symbol-wise route inside the matrix kernel; the
+The matrix kernel detects each independent block of symbols on its own.
+Diagonal operators (blocks of one symbol) take the symbol-wise route; the
 counts of one l = k = 0 path are checked against the same references and
-against the joint search on figure-1 batches, and operators that are not all
-diagonal are checked to keep the joint search.
+against the joint search on figure-1 batches.  Integer delays split the
+frame into several blocks: the figure-2 shape and a 4x2 delayed path run
+the per-frame and direct-metric checks, a synthetic operator has blocks of
+unequal size, and a spy pins which of the three routes each operator takes.
 
 The diagonal kernel is checked on CP-OFDM frames against exhaustive joint ML
 over all ``order^MN`` symbol vectors, which tests the per-subcarrier
@@ -22,6 +25,8 @@ no count.
 """
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +45,9 @@ CASES = {
                                 (PathSpec(m=2, omega=1.0, l=1, k=1, kappa=0.3),),
                                 "otfs"),
     "ofdm-shared-two-path-qpsk": (OtfsGrid(M=2, N=2), "qpsk", TWO_PATHS, "ofdm"),
+    # one delayed path: blocks {0, 1, 2, 3} and {4, 5, 6, 7} of 16 candidates
+    "otfs-delayed-path-bpsk": (OtfsGrid(M=4, N=2), "bpsk",
+                               (PathSpec(m=1, omega=1.0, l=1),), "otfs"),
     # one path with l = k = 0: diagonal operators, the symbol-wise route
     "otfs-one-path-bpsk": (OtfsGrid(M=2, N=2), "bpsk", ONE_PATH, "otfs"),
     "ofdm-shared-one-path-qpsk": (OtfsGrid(M=2, N=2), "qpsk", ONE_PATH, "ofdm"),
@@ -70,6 +78,15 @@ def make_batch(case, seed, sigma, nf):
              + 1j * rng.standard_normal((nf, mn))) * (sigma / math.sqrt(2.0))
     return (path_ops(grid, paths, waveform), gains, sym_idx, noise,
             const.points, cand_idx, cand_pts, engine._hamming_table(const))
+
+
+def joint_search(ops, gains, sym_idx, noise, points, cand_idx, cand_pts,
+                 hamming):
+    """The kernel's search over all candidates at once: one block of every
+    symbol, whatever the operators' structure."""
+    return kernels._block_frame_errors(
+        ops, [np.arange(ops.shape[1])], [(cand_idx, cand_pts)], gains, sym_idx,
+        noise, points, hamming)
 
 
 def direct_metric_errors(ops, gains, sym_idx, noise, points, cand_idx,
@@ -124,35 +141,45 @@ def test_matrix_kernel_matches_direct_metric(case, seed):
 
 
 def test_matrix_kernel_ties_resolve_to_lowest_index():
-    # with every gain zero all candidates tie; ml_detect picks candidate 0
-    batch = list(make_batch("otfs-two-path-qpsk", 7, 0.3, 64))
-    batch[1] = np.zeros_like(batch[1])
-    _, _, sym_idx, noise, _, cand_idx, _, hamming = batch
-    mn = sym_idx.shape[1]
-    det = modem.ml_detect(noise[0], np.zeros((mn, mn)), make_constellation("qpsk"))
-    assert not det.any()
-    per_frame = hamming[cand_idx[0], sym_idx].sum(axis=1)
-    assert kernels.matrix_frame_errors(*batch) == (
-        int(per_frame.sum()), int((per_frame ** 2).sum()))
+    # with every gain zero all candidates tie; ml_detect picks candidate 0, on
+    # the block route (figure-2 shape) and on the one-block route alike
+    for case, n_blocks in (("otfs-two-path-qpsk", 2), ("otfs-fractional-doppler", 1)):
+        batch = list(make_batch(case, 7, 0.3, 64))
+        batch[1] = np.zeros_like(batch[1])
+        ops, _, sym_idx, noise, _, cand_idx, _, hamming = batch
+        assert len(kernels.independent_blocks(ops)) == n_blocks
+        mn = sym_idx.shape[1]
+        det = modem.ml_detect(noise[0], np.zeros((mn, mn)),
+                              make_constellation(CASES[case][1]))
+        assert not det.any()
+        per_frame = hamming[cand_idx[0], sym_idx].sum(axis=1)
+        assert per_frame.sum() > 0
+        assert kernels.matrix_frame_errors(*batch) == (
+            int(per_frame.sum()), int((per_frame ** 2).sum()))
 
 
 def test_matrix_kernel_counts_do_not_depend_on_chunking(monkeypatch):
-    case = "otfs-two-path-qpsk"
-    rows = kernels._chunk_rows(len(make_batch(case, 5, 0.3, 1)[6]))
-    batch = make_batch(case, 5, 0.3, 2 * rows + 500)
-    ops, gains, sym_idx, noise, points, cand_idx, cand_pts, hamming = batch
-    split = rows + 37
-    assert rows > 1 and split % rows != 0
-    whole = kernels.matrix_frame_errors(*batch)
-    assert whole[0] > 0
-    halves = [kernels.matrix_frame_errors(ops, gains[s], sym_idx[s], noise[s],
-                                          points, cand_idx, cand_pts, hamming)
-              for s in (slice(0, split), slice(split, None))]
-    assert tuple(map(sum, zip(*halves))) == whole
-    # one frame per chunk
-    monkeypatch.setattr(kernels, "_CHUNK_BYTES", 1)
-    assert kernels._chunk_rows(len(cand_pts)) == 1
-    assert kernels.matrix_frame_errors(*batch) == whole
+    # the figure-2 shape searches 2 blocks of 16 candidates, the fractional
+    # Doppler case one block of 256; chunks of 300 rows of the 16-candidate
+    # metric (18 of the 256-candidate one), then of one frame
+    small = 8 * 16 * 300
+    for case in ("otfs-two-path-qpsk", "otfs-fractional-doppler"):
+        batch = make_batch(case, 5, 0.3, 1000)
+        ops, gains, sym_idx, noise, points, cand_idx, cand_pts, hamming = batch
+        whole = kernels.matrix_frame_errors(*batch)
+        assert whole[0] > 0
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", small)
+        assert 1 < kernels._chunk_rows(len(cand_pts)) <= kernels._chunk_rows(16) == 300
+        assert kernels.matrix_frame_errors(*batch) == whole
+        split = 337
+        halves = [kernels.matrix_frame_errors(ops, gains[s], sym_idx[s], noise[s],
+                                              points, cand_idx, cand_pts, hamming)
+                  for s in (slice(0, split), slice(split, None))]
+        assert tuple(map(sum, zip(*halves))) == whole
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 1)
+        assert kernels._chunk_rows(len(cand_pts)) == 1
+        assert kernels.matrix_frame_errors(*batch) == whole
+        monkeypatch.undo()
 
 
 def test_diagonal_route_counts_equal_the_joint_search():
@@ -176,7 +203,7 @@ def test_diagonal_route_counts_equal_the_joint_search():
             batch = (ops, gains, sym_idx, noise, const.points, cand_idx,
                      cand_pts, hamming)
             got = kernels.matrix_frame_errors(*batch)
-            assert got == kernels._joint_frame_errors(*batch)
+            assert got == joint_search(*batch)
             errors += got[0]
     assert errors > 0
 
@@ -194,40 +221,154 @@ def test_diagonal_route_ties_resolve_to_candidate_0():
         int(per_frame.sum()), int((per_frame ** 2).sum()))
 
 
+def test_block_route_counts_equal_the_joint_search():
+    # figure-2 batches, drawn as the engine draws them: 2 blocks of 16
+    # candidates give the counts of the search over all 256
+    errors = 0
+    for cfg, _ in cli.figure_config(2, None, None, None):
+        const = make_constellation(cfg.scheme, cfg.order)
+        ops = np.stack([engine._path_operator(s, cfg) for s in cfg.paths])
+        assert [list(b) for b in kernels.independent_blocks(ops)] == [[0, 1], [2, 3]]
+        cand_idx, cand_pts = modem.enumerate_candidates(const, cfg.grid.frame_size)
+        hamming = engine._hamming_table(const)
+        for pt_idx in range(0, len(cfg.snr_db), 2):
+            sigma = math.sqrt(1.0 / 10.0 ** (cfg.snr_db[pt_idx] / 10.0))
+            rng = make_stream(cfg.master_seed, pt_idx, 0)
+            gains = sample_nakagami_gains(cfg.paths, rng, 2048)
+            sym_idx = rng.integers(0, const.order, (2048, 4))
+            noise = (rng.standard_normal((2048, 4))
+                     + 1j * rng.standard_normal((2048, 4))) * (sigma / math.sqrt(2.0))
+            batch = (ops, gains, sym_idx, noise, const.points, cand_idx,
+                     cand_pts, hamming)
+            got = kernels.matrix_frame_errors(*batch)
+            assert got == joint_search(*batch)
+            errors += got[0]
+    assert errors > 0
+
+
+def unequal_block_batch(seed, sigma, nf):
+    """Kernel arguments for two random operators on 6 symbols whose joint
+    support splits them into blocks {0, 2, 5}, {1} and {3, 4}; QPSK."""
+    rng = np.random.default_rng(seed)
+    ops = np.zeros((2, 6, 6), dtype=np.complex128)
+    for b in ([0, 2, 5], [1], [3, 4]):
+        shape = (2, len(b), len(b))
+        ops[(slice(None),) + np.ix_(b, b)] = (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    # the second path reaches only part of the first block
+    ops[1, 0, 2] = ops[1, 2, 0] = 0.0
+    const = make_constellation("qpsk")
+    cand_idx, cand_pts = modem.enumerate_candidates(const, 6)
+    stream = make_stream(seed, 0)
+    gains = sample_nakagami_gains(TWO_PATHS, stream, nf)
+    sym_idx = stream.integers(0, 4, (nf, 6))
+    noise = (stream.standard_normal((nf, 6))
+             + 1j * stream.standard_normal((nf, 6))) * (sigma / math.sqrt(2.0))
+    return (ops, gains, sym_idx, noise, const.points, cand_idx, cand_pts,
+            engine._hamming_table(const))
+
+
+def test_blocks_of_unequal_size_match_the_direct_metric():
+    errors = 0
+    for sigma in (1.0, 0.3, 0.05):
+        batch = unequal_block_batch(21, sigma, 300)
+        assert ([list(b) for b in kernels.independent_blocks(batch[0])]
+                == [[0, 2, 5], [1], [3, 4]])
+        got = kernels.matrix_frame_errors(*batch)
+        assert got == direct_metric_errors(*batch)
+        errors += got[0]
+    assert errors > 0
+
+
+def test_integer_paths_split_a_4x4_grid_into_blocks():
+    # a delay cycles the delay bins of each Doppler bin, a Doppler shift the
+    # Doppler bins of each delay bin; a fractional Doppler joins them all
+    grid = OtfsGrid(M=4, N=4)
+    runs = np.arange(16).reshape(4, 4)
+    for paths, want in (
+            ((PathSpec(m=1, omega=1.0, l=1),), runs),
+            ((PathSpec(m=1, omega=1.0, k=1),), runs.T),
+            ((PathSpec(m=1, omega=0.5, l=1), PathSpec(m=1, omega=0.5, k=1)),
+             runs.reshape(1, 16)),
+            ((PathSpec(m=1, omega=1.0, l=1, kappa=0.3),), runs.reshape(1, 16))):
+        got = kernels.independent_blocks(path_ops(grid, paths, "otfs"))
+        assert [list(b) for b in got] == [list(b) for b in want]
+
+
 GRID_2X2 = OtfsGrid(M=2, N=2)
 
 
-@pytest.mark.parametrize("ops,routed", [
-    pytest.param(path_ops(GRID_2X2, ONE_PATH, "otfs"), True, id="one-path"),
-    pytest.param(np.eye(4)[None] + 1e-6 * (1 - np.eye(4)), False,
+@pytest.mark.parametrize("ops,route", [
+    pytest.param(path_ops(GRID_2X2, ONE_PATH, "otfs"), "diagonal", id="one-path"),
+    pytest.param(np.eye(4)[None] + 1e-6 * (1 - np.eye(4)), "one block",
                  id="off-diagonal-1e-6"),
     pytest.param(path_ops(GRID_2X2, (PathSpec(m=1, omega=1.0, l=1),), "otfs"),
-                 False, id="delayed-path"),
+                 "blocks", id="delayed-path"),
     pytest.param(path_ops(GRID_2X2, (PathSpec(m=1, omega=1.0, kappa=0.3),),
-                          "otfs"), False, id="fractional-doppler"),
-    pytest.param(path_ops(GRID_2X2, ONE_PATH * 2, "otfs"), True, id="two-paths"),
+                          "otfs"), "blocks", id="fractional-doppler"),
+    pytest.param(path_ops(GRID_2X2, ONE_PATH * 2, "otfs"), "diagonal",
+                 id="two-paths"),
     pytest.param(path_ops(GRID_2X2, (PathSpec(m=1, omega=0.5),
                                      PathSpec(m=1, omega=0.5, l=1)), "otfs"),
-                 False, id="identity-plus-delayed-path"),
+                 "blocks", id="identity-plus-delayed-path"),
+    pytest.param(path_ops(GRID_2X2, (PathSpec(m=1, omega=0.5, l=1),
+                                     PathSpec(m=1, omega=0.5, k=1)), "otfs"),
+                 "one block", id="delayed-and-doppler-paths"),
 ])
 def test_only_one_diagonal_operator_takes_the_symbol_wise_route(
-        monkeypatch, ops, routed):
-    # every operator diagonal, however many paths, takes the route
+        monkeypatch, ops, route):
+    # every operator diagonal, however many paths, takes the symbol-wise
+    # route; operators that split the symbols take one search per block, and
+    # one block the search over the given candidates
     _, gains, sym_idx, noise, points, cand_idx, cand_pts, hamming = make_batch(
         "otfs-one-path-bpsk", 3, 0.3, 256)
     # distinct phases per path keep the channel of two paths non-singular
     gains = gains * np.exp(1j * np.arange(len(ops)))
     batch = (ops, gains, sym_idx, noise, points, cand_idx, cand_pts, hamming)
-    calls, real = [], kernels.diag_frame_errors
+    calls = []
+    diag, blocks = kernels.diag_frame_errors, kernels._block_frame_errors
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def diag_spy(*args):
+        calls.append("diagonal")
+        return diag(*args)
 
-    monkeypatch.setattr(kernels, "diag_frame_errors", spy)
+    def block_spy(A_ops, parts, tables, *args):
+        calls.append("blocks" if len(parts) > 1 else "one block")
+        if len(parts) == 1:
+            assert tables == [(cand_idx, cand_pts)]
+        return blocks(A_ops, parts, tables, *args)
+
+    monkeypatch.setattr(kernels, "diag_frame_errors", diag_spy)
+    monkeypatch.setattr(kernels, "_block_frame_errors", block_spy)
     assert kernels.matrix_frame_errors(*batch) == direct_metric_errors(*batch)
-    assert len(calls) == routed
-    assert kernels.symbol_wise(ops) == routed
+    assert calls == [route]
+    assert kernels.symbol_wise(ops) == (route == "diagonal")
+
+
+def test_block_route_peak_allocation_on_a_figure2_batch():
+    # one 2048-frame figure-2 call, its work arrays made afresh in a new
+    # thread: 2 searches of 16 candidates peak well below the search over
+    # all 256, whose (2048, 256) float64 metric block alone takes 4 MiB
+    batch = make_batch("otfs-two-path-qpsk", 3, 0.3, 2048)
+
+    def peak(kernel):
+        out = []
+
+        def run():
+            tracemalloc.start()
+            try:
+                kernel(*batch)
+                out.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join()
+        return out[0]
+
+    assert peak(kernels.matrix_frame_errors) < 2 << 20
+    assert peak(joint_search) > 4 << 20
 
 
 def test_active_backend_reports_known_name():
