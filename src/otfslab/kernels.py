@@ -228,7 +228,7 @@ def _block_frame_errors(A_ops, blocks, tables, gains, sym_idx, noise, points,
 
     # y = sum_p h_p A_p x + noise
     x, ax = _carve(work, steps[0])
-    np.take(points, sym_idx, out=x, mode="clip")
+    np.take(points, sym_idx, out=x)
     np.einsum("fp,pfi->fi", gains, np.matmul(x, A_ops.transpose(0, 2, 1), out=ax),
               out=y)
     y += noise

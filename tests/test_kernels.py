@@ -158,6 +158,17 @@ def test_matrix_kernel_ties_resolve_to_lowest_index():
             int(per_frame.sum()), int((per_frame ** 2).sum()))
 
 
+def test_matrix_kernel_rejects_an_out_of_range_symbol_index():
+    # a symbol index past the constellation raises, as indexing the points
+    # does, on the block and the one-block route
+    for case in ("otfs-two-path-qpsk", "otfs-fractional-doppler"):
+        batch = list(make_batch(case, 7, 0.3, 16))
+        batch[2] = batch[2].copy()
+        batch[2][3, 1] = len(batch[4])
+        with pytest.raises(IndexError):
+            kernels.matrix_frame_errors(*batch)
+
+
 def test_matrix_kernel_counts_do_not_depend_on_chunking(monkeypatch):
     # the figure-2 shape searches 2 blocks of 16 candidates, the fractional
     # Doppler case one block of 256; chunks of 300 rows of the 16-candidate
