@@ -6,20 +6,15 @@ product of (1 + mu_p s)^{-m_p} factors.  Craig's form of the Gaussian tail
 turns the average of A*Q(sqrt(2 B gamma)) into one integral of that product
 over [0, pi/2] (Simon & Alouini, *Digital Communication over Fading
 Channels*), which siso_ber evaluates with one fixed quadrature rule for any
-real shapes and any path powers.  The paper's Gamma-mixture density of
-the same sum (xi_coefficients, erlang_pdf, mixture_pdf) is kept as printed,
-for integer shapes and distinct scales.
+real shapes and any path powers.
 
 Multi-user path: the aggregate interference power S is moment-matched to a
 Gamma(m_z, omega_z) variate.  multiuser_ber averages A*Q(sqrt(2 B SINR)) with
-SINR = (Es/N0) / (1 + S) through specfun.erfc_gamma_average, the same
-average behind the paper's Meijer-G form (multiuser_ber_paper_form), and
-semi_analytic_mc_ber estimates it from drawn interference powers.  The SINR
-distribution and density (sinr_cdf, sinr_pdf) are kept as printed.
+SINR = (Es/N0) / (1 + S) through specfun.erfc_gamma_average, and
+semi_analytic_mc_ber estimates it from drawn interference powers.
 
 scipy loads on first use, not when this module is imported: in
-specfun.erfc_gamma_average (so multiuser_ber and multiuser_ber_paper_form),
-in sinr_cdf (scipy.special.gammainc) and in semi_analytic_mc_ber
+specfun.erfc_gamma_average (so multiuser_ber) and in semi_analytic_mc_ber
 (scipy.special.erfc).  The Monte Carlo sweeps and siso_ber are numpy only,
 and their cold start does not pay for the scipy import.
 """
@@ -29,13 +24,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import specfun
-from .errors import (ConfigError, DegenerateScalesError, DomainError,
-                     NoInterferenceSignal, NumericError)
+from .errors import ConfigError, DomainError, NoInterferenceSignal, NumericError
 from .fading import sample_total_power
 # not called here, but kept: traced benchmark runs wrap analytic.sample_nakagami_gains
 from .fading import sample_nakagami_gains  # noqa: F401
@@ -90,110 +83,6 @@ def mod_params(scheme: str, order: int | None = None) -> ModErrorParams:
         return ModErrorParams(A=2.0 * (order - 1) / order, B=3.0 / (order ** 2 - 1),
                               order=order)
     raise ConfigError(f"no error constants tabulated for scheme {scheme!r}")
-
-
-# ---------------------------------------------------------------------------
-# Erlang building blocks
-# ---------------------------------------------------------------------------
-
-def erlang_pdf(z: float, m: int, mu: float) -> float:
-    """Gamma density with integer shape m and scale mu."""
-    if int(m) != m or m < 1:
-        raise DomainError(f"Erlang shape must be a positive integer, got {m}")
-    if not (math.isfinite(mu) and mu > 0):
-        raise DomainError(f"Erlang scale must be finite and positive, got {mu}")
-    if z < 0:
-        raise DomainError(f"density argument must be >= 0, got {z}")
-    if z == 0.0:
-        return 1.0 / mu if m == 1 else 0.0
-    return math.exp((m - 1) * math.log(z) - z / mu
-                    - m * math.log(mu) - math.lgamma(m))
-
-
-# ---------------------------------------------------------------------------
-# Partial-fraction mixture for sums of independent Gamma variates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GammaMixTerm:
-    """One component of the finite Gamma mixture: weight * Erlang(k, scale)."""
-
-    i: int        # originating path index (1-based)
-    k: int        # component shape
-    weight: float
-    scale: float
-
-
-MIN_SCALE_GAP = 1e-9
-
-
-def xi_coefficients(shapes, scales) -> tuple:
-    """Mixture terms so that sum_i,k w * erlang_pdf(z; k, mu_i) is the density
-    of sum_q Gamma(m_q, mu_q) with integer shapes and pairwise distinct scales.
-
-    The weights are the principal-part coefficients of the product Laplace
-    transform prod_q (1 + mu_q s)^{-m_q} at each pole, generated by the
-    power-sum recursion; their total is exactly 1 (value of the transform at
-    s = 0).  Scales closer than MIN_SCALE_GAP in relative terms are rejected
-    because the expansion divides by scale differences.
-    """
-    if len(shapes) != len(scales) or not shapes:
-        raise ConfigError("shapes and scales must be equal-length and non-empty")
-    for m in shapes:
-        if not (m >= 1 and float(m).is_integer()):
-            raise DomainError(f"shapes must be positive integers, got {m}")
-    shapes = tuple(int(m) for m in shapes)
-    scales = tuple(float(mu) for mu in scales)
-    for mu in scales:
-        if not (math.isfinite(mu) and mu > 0):
-            raise DomainError(f"scales must be finite and positive, got {mu}")
-    P = len(shapes)
-    if P == 1:
-        return (GammaMixTerm(i=1, k=shapes[0], weight=1.0, scale=scales[0]),)
-    for a in range(P):
-        for b in range(a + 1, P):
-            gap = abs(scales[a] - scales[b]) / max(scales[a], scales[b])
-            if gap <= MIN_SCALE_GAP:
-                raise DegenerateScalesError(
-                    f"scales {scales[a]} and {scales[b]} coincide to within "
-                    f"relative gap {MIN_SCALE_GAP}; the partial-fraction "
-                    f"expansion requires pairwise distinct scales")
-    return _xi_terms_cached(shapes, scales)
-
-
-@lru_cache(maxsize=256)
-def _xi_terms_cached(shapes: tuple, scales: tuple) -> tuple:
-    P = len(shapes)
-    terms = []
-    for i in range(P):
-        mi, mui = shapes[i], scales[i]
-        others = [(shapes[q], scales[q]) for q in range(P) if q != i]
-        # leading coefficient prod_{q != i} (mu_i / (mu_i - mu_q))^{m_q},
-        # accumulated in the log domain to survive large shape totals
-        log_mag = 0.0
-        sign = 1.0
-        for mq, muq in others:
-            ratio = mui / (mui - muq)
-            log_mag += mq * math.log(abs(ratio))
-            if ratio < 0 and mq % 2 == 1:
-                sign = -sign
-        g0 = sign * math.exp(log_mag)
-        # Taylor coefficients of prod_{q != i} (1 + b_q u)^{-m_q} about u = 0
-        # via the power-sum recursion  n c_n = sum_j e_j c_{n-j}
-        nmax = mi - 1
-        e = [0.0] * (nmax + 1)
-        for j in range(1, nmax + 1):
-            e[j] = math.fsum(mq * (muq / (muq - mui)) ** j for mq, muq in others)
-        c = [1.0] + [0.0] * nmax
-        for n in range(1, nmax + 1):
-            c[n] = math.fsum(e[j] * c[n - j] for j in range(1, n + 1)) / n
-        for n in range(nmax + 1):
-            terms.append(GammaMixTerm(i=i + 1, k=mi - n, weight=g0 * c[n], scale=mui))
-    return tuple(terms)
-
-
-def mixture_pdf(z: float, terms) -> float:
-    return math.fsum(t.weight * erlang_pdf(z, t.k, t.scale) for t in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +170,6 @@ def rayleigh_bpsk_ber(es_n0: float) -> float:
 class SinrGammaApprox:
     """Moment-matched Gamma model of the aggregate interference power."""
 
-    mu_S: float
-    sigma2_S: float
     m_z: float
     omega_z: float
 
@@ -307,38 +194,7 @@ def gamma_approx(mu_S: float, sigma2_S: float) -> SinrGammaApprox:
     if sigma2_S == 0.0:
         raise NoInterferenceSignal(
             "zero interference variance: use the deterministic-SINR path")
-    return SinrGammaApprox(mu_S=mu_S, sigma2_S=sigma2_S,
-                           m_z=mu_S ** 2 / sigma2_S, omega_z=sigma2_S / mu_S)
-
-
-def sinr_cdf(y: float, es_n0: float, approx: SinrGammaApprox) -> float:
-    """Lower-incomplete-Gamma SINR distribution form, kept exactly as printed:
-
-        F(y) = gamma(m_z, ((Es/N0)/y - 1)/Omega_z) / Gamma(m_z).
-
-    As a function of y on (0, Es/N0] this is monotone nonincreasing with
-    F(0+) = 1 and F(Es/N0) = 0, i.e. it carries the upper-tail probability
-    P(SINR >= y); sinr_pdf integrates to its complement from the left.
-    """
-    if not (0.0 < y <= es_n0):
-        raise DomainError(f"y must lie in (0, Es/N0] = (0, {es_n0}], got {y}")
-    from scipy import special
-
-    arg = (es_n0 / y - 1.0) / approx.omega_z
-    return float(special.gammainc(approx.m_z, arg))
-
-
-def sinr_pdf(y: float, es_n0: float, approx: SinrGammaApprox) -> float:
-    """Density of the SINR  (Es/N0) / (1 + S)  with S ~ Gamma(m_z, omega_z)."""
-    if not (0.0 < y <= es_n0):
-        raise DomainError(f"y must lie in (0, Es/N0] = (0, {es_n0}], got {y}")
-    m_z, oz = approx.m_z, approx.omega_z
-    w = es_n0 / y - 1.0
-    if w <= 0.0:
-        return 0.0 if m_z >= 1 else math.inf
-    log_pdf = ((m_z - 1.0) * math.log(w) - w / oz - m_z * math.log(oz)
-               - math.lgamma(m_z) + math.log(es_n0) - 2.0 * math.log(y))
-    return math.exp(log_pdf)
+    return SinrGammaApprox(m_z=mu_S ** 2 / sigma2_S, omega_z=sigma2_S / mu_S)
 
 
 def multiuser_ber(es_n0: float, approx: SinrGammaApprox,
@@ -368,18 +224,6 @@ def multiuser_ber(es_n0: float, approx: SinrGammaApprox,
     if not 0.0 <= ser <= 0.5 * A * (1.0 + specfun.GAMMA_AVERAGE_RTOL):
         raise NumericError(f"multi-user SER outside [0, A/2] = [0, {0.5 * A:g}]", ser)
     return min(ser, 0.5 * A) / mod.bits_per_symbol
-
-
-def multiuser_ber_paper_form(es_n0: float, approx: SinrGammaApprox,
-                             mod: ModErrorParams) -> float:
-    """BER through the bare Meijer-G closed form (A / (2 log2 M)) * G(x).
-
-    The closed form drops the unit noise floor and the Gaussian-tail constant
-    of the modulation, so it coincides with multiuser_ber only in the
-    interference-dominated unit-B regime; exposed for reference.
-    """
-    g = specfun.meijer_g_2313(es_n0 / approx.omega_z, approx.m_z)
-    return 0.5 * mod.A * g / mod.bits_per_symbol
 
 
 def deterministic_ber(es_n0: float, mod: ModErrorParams) -> float:

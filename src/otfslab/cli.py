@@ -449,10 +449,10 @@ def cmd_diversity(args) -> int:
     otfs, ofdm = engine.paired_comparison(cfg)
     reports.append(diversity.DiversityReport(
         gd_empirical=diversity.empirical_gd(otfs, *snr_pair), snr_pair=snr_pair,
-        gd_approx=diversity.siso_gd_approx(1, (1,)), config_label="otfs-p1-m1"))
+        gd_approx=diversity.siso_gd_approx((1,)), config_label="otfs-p1-m1"))
     reports.append(diversity.DiversityReport(
         gd_empirical=diversity.empirical_gd(ofdm, *snr_pair), snr_pair=snr_pair,
-        gd_approx=diversity.siso_gd_approx(1, (1,)), config_label="ofdm-p1-m1"))
+        gd_approx=diversity.siso_gd_approx((1,)), config_label="ofdm-p1-m1"))
 
     p2 = SweepConfig(paths=(PathSpec(m=1, omega=TABLE3_P2_OMEGAS[0], l=0),
                             PathSpec(m=2, omega=TABLE3_P2_OMEGAS[1], l=1)),
@@ -461,11 +461,11 @@ def cmd_diversity(args) -> int:
     p2_curve = engine.run_sweep(replace(p2, snr_db=window))
     reports.append(diversity.DiversityReport(
         gd_empirical=diversity.empirical_gd(p2_curve, *window, use_analytic=True),
-        snr_pair=window, gd_approx=diversity.siso_gd_approx(2, (1, 2)),
+        snr_pair=window, gd_approx=diversity.siso_gd_approx((1, 2)),
         config_label="otfs-p2-m12-analytic"))
     reports.append(diversity.DiversityReport(
         gd_empirical=diversity.empirical_gd(p2_curve, *window),
-        snr_pair=window, gd_approx=diversity.siso_gd_approx(2, (1, 2)),
+        snr_pair=window, gd_approx=diversity.siso_gd_approx((1, 2)),
         config_label="otfs-p2-m12-simulated"))
 
     print(f"# diversity report (window {window[0]:g}->{window[1]:g} dB; "

@@ -49,23 +49,7 @@ def empirical_gd(curve, snr1_db: float, snr2_db: float,
     return empirical_gd_values(b1, b2, snr1_db, snr2_db)
 
 
-def siso_gd_approx(P: int, shapes) -> float:
-    """Closed-form single-user diversity approximation P * min(m)."""
+def siso_gd_approx(shapes) -> float:
+    """Closed-form single-user diversity approximation P * min(m), P = len(shapes)."""
     shapes = tuple(shapes)
-    if len(shapes) != P or P < 1:
-        raise ConfigError(f"expected {P} shapes, got {len(shapes)}")
-    return float(P * min(shapes))
-
-
-def simo_gd_approx(K_u: int, P: int, shapes) -> float:
-    """Closed-form multi-branch diversity approximation.
-
-        K_u * [min(m) + (log2(1 + P) / P) * sum(m_p - min(m))]
-    """
-    shapes = tuple(shapes)
-    if len(shapes) != P or P < 1 or K_u < 1:
-        raise ConfigError(f"need K_u, P >= 1 and {P} shapes, got K_u={K_u}, "
-                          f"{len(shapes)} shapes")
-    m_min = min(shapes)
-    corr = math.log2(1 + P) / P * sum(m - m_min for m in shapes)
-    return float(K_u * (m_min + corr))
+    return float(len(shapes) * min(shapes))

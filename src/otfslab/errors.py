@@ -36,10 +36,6 @@ class NumericError(OtfsLabError, RuntimeError):
                          f"error bound {error_bound:.3e})")
 
 
-class DegenerateScalesError(ConfigError):
-    """Partial-fraction mixture requested with (nearly) equal Gamma scales."""
-
-
 class NoInterferenceSignal(OtfsLabError):
     """Raised when an interference model degenerates to the noise-only case.
 

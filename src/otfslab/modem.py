@@ -299,8 +299,10 @@ def ofdm_link(frame: DdFrame, channel: ChannelMatrices, constellation: Constella
 
     Symbols are placed directly on the time-frequency grid, the effective
     channel is (I_N kron F_M) H (I_N kron F_M^dagger), and detection is
-    frame-wise exhaustive ML under the same hypothesis cap.  Returns
-    (received vector, detected index vector).
+    frame-wise exhaustive ML under the same hypothesis cap.  noise_domain
+    "time" applies the receive-side DFT to the noise; "tf" injects it on
+    the time-frequency grid directly.  Returns (received vector, detected
+    index vector).
     """
     x = frame.vectorized
     noise = np.asarray(noise)
@@ -310,7 +312,7 @@ def ofdm_link(frame: DdFrame, channel: ChannelMatrices, constellation: Constella
     A = np.kron(np.eye(grid.N), FM)
     if noise_domain == "time":
         w = A @ noise
-    elif noise_domain in ("tf", "dd"):
+    elif noise_domain == "tf":
         w = noise
     else:
         raise ConfigError(f"unknown noise domain {noise_domain!r}")

@@ -1,16 +1,11 @@
 """Special functions for the error-rate analysis.
 
-Three pieces live here: the Gaussian tail Q, the average of erfc over a
-Gamma-distributed interference power (erfc_gamma_average), and the one
-Meijer-G instance the paper's multi-user closed form is written in.
-
-erfc_gamma_average is the single numeric route for both multi-user values:
-analytic.multiuser_ber calls it with the unit noise floor as its shift, and
-meijer_g_2313 calls it with no shift.  It is one adaptive quadrature in
-u = ln W on a window and breakpoint read off the log integrand, with a
-relative tolerance only, so that values far below 1 keep their digits.  A
-residue series of the Meijer-G instance (_meijer_series) stays as an
-independent cross-check.  No general Meijer-G engine is provided.
+Two pieces live here: the Gaussian tail Q, and the average of erfc over a
+Gamma-distributed interference power (erfc_gamma_average), the numeric
+route of analytic.multiuser_ber, which calls it with the unit noise floor
+as its shift.  It is one adaptive quadrature in u = ln W on a window and
+breakpoint read off the log integrand, with a relative tolerance only, so
+that values far below 1 keep their digits.
 
 scipy loads on first use, inside erfc_gamma_average (scipy.integrate and
 scipy.special), not when this module is imported: importing scipy.integrate
@@ -27,8 +22,6 @@ import sys
 import numpy as np
 
 from .errors import DomainError, NumericError
-
-_SQRT_PI = math.sqrt(math.pi)
 
 # Relative tolerance of erfc_gamma_average.  Its window keeps the part of
 # the integrand within e^-_WINDOW_DEPTH (~1e-20) of the peak, found on a
@@ -50,7 +43,9 @@ def erfc_gamma_average(x: float, m_z: float, b: float = 1.0,
     """E_W[erfc(sqrt(b x / (shift + W)))] for W ~ Gamma(m_z, 1).
 
     A/2 times this is the symbol error rate of A*Q(sqrt(2 b SNR)) averaged
-    over SNR = x / (shift + W).  In u = ln W the integrand is
+    over SNR = x / (shift + W); with b = 1 and no shift it is the Meijer-G
+    function G(x) of the paper's multi-user closed form.  In u = ln W the
+    integrand is
 
         exp(ln erfcx(sqrt(z)) - z + m_z u - e^u - ln Gamma(m_z)),
         z = b x / (shift + e^u),
@@ -121,62 +116,3 @@ def erfc_gamma_average(x: float, m_z: float, b: float = 1.0,
         raise NumericError(f"Gamma average at x = {x:g}, m_z = {m_z:g} is "
                            f"below the double range", 0.0)
     return math.exp(ln_value)
-
-
-def meijer_g_2313(x: float, m_z: float) -> float:
-    """The Meijer-G(3,1;2,3) instance carrying the multi-user closed form.
-
-    Defined operationally: G(x) = E_W[erfc(sqrt(x / W))], W ~ Gamma(m_z, 1),
-    so that (A/2)*G is the SER of A*Q(sqrt(2 SNR)) at SNR = x / W.  It is
-    erfc_gamma_average with b = 1 and no shift: its domain, relative
-    tolerance (GAMMA_AVERAGE_RTOL) and errors are that function's.
-    _meijer_series evaluates an independent residue expansion (valid for
-    x <= 40 and m_z away from half-odd-integers) for cross-checking.
-    """
-    return erfc_gamma_average(x, m_z)
-
-
-def _meijer_series(x: float, m_z: float) -> float:
-    """Residue series for the kernel: two families of simple poles plus 1.
-
-    Undefined when m_z sits on a half-odd-integer (pole families collide) or
-    when cancellation would destroy the result (large x); both raise.
-    """
-    if not (math.isfinite(x) and x > 0):
-        raise DomainError(f"x must be finite and positive, got {x}")
-    if not (math.isfinite(m_z) and m_z > 0):
-        raise DomainError(f"m_z must be finite and positive, got {m_z}")
-    if abs(m_z % 1.0 - 0.5) < 1e-9:
-        raise DomainError(f"series path undefined for half-odd-integer m_z = {m_z}")
-    if x > 40.0:
-        raise NumericError("series path loses all precision for x > 40", float("nan"))
-
-    ln_gm = math.lgamma(m_z)
-    terms = [1.0]
-    for k in range(160):
-        sign = -1.0 if k % 2 else 1.0
-        # poles of Gamma(s + 1/2) at s = -(k + 1/2)
-        t1 = (sign / math.factorial(k)) * _gamma_signed(m_z - 0.5 - k, ln_gm) \
-            / (-(k + 0.5) * _SQRT_PI) * x ** (k + 0.5)
-        # poles of Gamma(m_z + s) at s = -(m_z + k)
-        t2 = (sign / math.factorial(k)) * _gamma_signed(0.5 - m_z - k, ln_gm) \
-            / (-(m_z + k) * _SQRT_PI) * x ** (m_z + k)
-        terms.append(t1)
-        terms.append(t2)
-        if k > 4 and abs(t1) < 1e-18 and abs(t2) < 1e-18:
-            break
-    total = math.fsum(terms)
-    if not math.isfinite(total):
-        raise NumericError("series path overflowed", total)
-    return total
-
-
-def _gamma_signed(z: float, ln_gamma_mz: float) -> float:
-    """Gamma(z)/Gamma(m_z) with correct sign via the reflection formula."""
-    if z > 0:
-        return math.exp(math.lgamma(z) - ln_gamma_mz)
-    # Gamma(z) = pi / (sin(pi z) Gamma(1 - z)) for non-integer z < 0
-    s = math.sin(math.pi * z)
-    if s == 0.0:
-        raise DomainError(f"Gamma pole at z = {z}")
-    return math.pi / (s * math.exp(math.lgamma(1.0 - z) + ln_gamma_mz))

@@ -1,14 +1,11 @@
-"""Diversity slope estimation and the closed-form approximations."""
-
-import math
+"""Diversity slope estimation and the closed-form approximation."""
 
 import numpy as np
 import pytest
 
 from otfslab import analytic, diversity
-from otfslab.diversity import (empirical_gd_values, simo_gd_approx,
-                               siso_gd_approx)
-from otfslab.errors import ConfigError, DomainError
+from otfslab.diversity import empirical_gd_values, siso_gd_approx
+from otfslab.errors import DomainError
 from otfslab.fading import PathSpec
 
 
@@ -44,22 +41,10 @@ class TestEmpiricalSlope:
 
 
 class TestApproximations:
-    @pytest.mark.parametrize("P,shapes,expected", [
-        (1, (1,), 1.0), (2, (1, 2), 2.0), (3, (2, 3, 4), 6.0)])
-    def test_siso(self, P, shapes, expected):
-        assert siso_gd_approx(P, shapes) == expected
-
-    @pytest.mark.parametrize("K,P,shapes,expected", [
-        (2, 1, (1,), 2.0), (2, 1, (2,), 4.0),
-        (2, 2, (2, 3), 2 * (2 + math.log2(3) / 2))])
-    def test_simo(self, K, P, shapes, expected):
-        assert simo_gd_approx(K, P, shapes) == pytest.approx(expected, rel=1e-12)
-
-    def test_shape_count_mismatch(self):
-        with pytest.raises(ConfigError):
-            siso_gd_approx(2, (1,))
-        with pytest.raises(ConfigError):
-            simo_gd_approx(0, 1, (1,))
+    @pytest.mark.parametrize("shapes,expected", [
+        ((1,), 1.0), ((1, 2), 2.0), ((2, 3, 4), 6.0)])
+    def test_siso(self, shapes, expected):
+        assert siso_gd_approx(shapes) == expected
 
 
 class TestAnalyticCurveSlopes:
@@ -71,4 +56,4 @@ class TestAnalyticCurveSlopes:
         b1 = analytic.siso_ber(10.0 ** 3.0, paths, mod)
         b2 = analytic.siso_ber(10.0 ** 4.0, paths, mod)
         slope = empirical_gd_values(b1, b2, 30.0, 40.0)
-        assert abs(slope - siso_gd_approx(1, (m,))) <= 0.25
+        assert abs(slope - siso_gd_approx((m,))) <= 0.25

@@ -35,19 +35,17 @@ curve = engine.run_sweep(cfg)
 pair = engine.paired_comparison(cfg)
 mod = analytic.mod_params("qpsk")
 siso = analytic.siso_ber(10.0, (PathSpec(m=2, omega=0.5), PathSpec(m=1, omega=0.5)), mod)
-gd = (diversity.empirical_gd(curve, 0.0, 6.0), diversity.siso_gd_approx(1, (1,)),
-      diversity.simo_gd_approx(2, 1, (1,)))
+gd = (diversity.empirical_gd(curve, 0.0, 6.0), diversity.siso_gd_approx((1,)))
 cli.emit_csv(list(pair), sys.argv[1])
 before = scipy_modules()
 
 approx = analytic.gamma_approx(*analytic.sinr_moments(10.0, ((PathSpec(m=2, omega=0.3),),)))
 multiuser = analytic.multiuser_ber(10.0, approx, mod)
-cdf = analytic.sinr_cdf(2.0, 10.0, approx)
 semi = analytic.semi_analytic_mc_ber(10.0, (), ((PathSpec(m=2, omega=0.3),),), mod,
                                      otfslab.make_stream(7, 0), 20_000)
 print(json.dumps({"package": otfslab.__file__, "before": before,
                   "loaded": bool(scipy_modules()),
-                  "multiuser": multiuser, "cdf": cdf, "semi": list(semi)}))
+                  "multiuser": multiuser, "semi": list(semi)}))
 """
 
 FIGURE_3 = r"""
@@ -80,7 +78,6 @@ def test_monte_carlo_and_siso_routes_leave_scipy_unloaded(tmp_path):
     interferer = ((PathSpec(m=2, omega=0.3),),)
     approx = analytic.gamma_approx(*analytic.sinr_moments(10.0, interferer))
     assert out["multiuser"] == analytic.multiuser_ber(10.0, approx, mod)
-    assert out["cdf"] == analytic.sinr_cdf(2.0, 10.0, approx)
     assert out["semi"] == list(analytic.semi_analytic_mc_ber(
         10.0, (), interferer, mod, otfslab.make_stream(7, 0), 20_000))
 

@@ -223,6 +223,17 @@ class TestOfdmLink:
         H_ofdm = modem.ofdm_effective_channel(ch.H, grid)
         assert not np.allclose(H_ofdm, ch.H_eff, atol=1e-6)
 
+    def test_unknown_noise_domain_rejected(self):
+        # "dd" names the OTFS receive domain, not the OFDM one
+        grid = OtfsGrid(M=2, N=2)
+        const = make_constellation("bpsk")
+        ch = build_channel_matrix([(1.0, 0, 0, 0.0)], grid)
+        frame, w = random_frame(grid), np.zeros(4, complex)
+        with pytest.raises(ConfigError):
+            otfs_link(frame, ch, w, grid, noise_domain="tf")
+        with pytest.raises(ConfigError):
+            ofdm_link(frame, ch, const, w, grid, noise_domain="dd")
+
 
 class TestConstellations:
     @pytest.mark.parametrize("scheme,order", [("bpsk", 2), ("qpsk", 4),

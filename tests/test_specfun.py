@@ -3,7 +3,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,57 +38,6 @@ class TestQFunction:
             specfun.q_function(float("inf"))
 
 
-class TestMeijerG:
-    def test_high_snr_limit_vanishes(self):
-        values = [specfun.meijer_g_2313(x, 2.0) for x in (5.0, 10.0, 20.0, 39.0)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-        assert values[-1] < 1e-4
-
-    def test_zero_snr_limit_is_coin_flip(self):
-        # with unit constants the bit error rate is G/2 -> 1/2
-        for m_z in (1.0, 2.0, 3.5):
-            assert abs(0.5 * specfun.meijer_g_2313(1e-9, m_z) - 0.5) < 1e-3
-
-    def test_single_interferer_case_matches_direct_quadrature(self):
-        # x = (Es/N0)/Omega_z = 2 for one shape-2 unit-power interferer at 20 dB;
-        # G(x) = (1/sqrt(pi)) int_0^inf e^-y y^-1/2 Gamma_upper(m_z, x/y) dy,
-        # integrated in y = t^2 to remove the singularity at 0
-        x, m_z = 2.0, 2.0
-
-        def integrand(t):
-            return 2.0 * math.exp(-t * t) * special.gammaincc(m_z, x / (t * t))
-
-        value, _ = integrate.quad(integrand, 0.0, math.inf, epsabs=0.0,
-                                  epsrel=1e-13, limit=200)
-        oracle = value / math.sqrt(math.pi)
-        got = specfun.meijer_g_2313(x, m_z)
-        assert abs(got - oracle) <= 1e-10 * oracle
-
-    def test_series_and_quadrature_agree_on_grid(self):
-        xs = np.logspace(-2, 0.9, 10)
-        mzs = (0.8, 1.0, 1.2, 1.7, 2.0, 2.2, 2.8, 3.0, 3.3, 4.1)
-        for m_z in mzs:
-            for x in xs:
-                q = specfun.meijer_g_2313(float(x), m_z)
-                s = specfun._meijer_series(float(x), m_z)
-                assert abs(q - s) <= 1e-6 * abs(q)
-
-    def test_series_rejects_half_integer_shapes(self):
-        with pytest.raises(DomainError):
-            specfun._meijer_series(1.0, 2.5)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            specfun.meijer_g_2313(-1.0, 2.0)
-        with pytest.raises(DomainError):
-            specfun.meijer_g_2313(1.0, float("nan"))
-
-    def test_general_kernel_shift_reduces_to_unshifted(self):
-        a = specfun.erfc_gamma_average(3.0, 2.0, b=1.0, shift=0.0)
-        b = specfun.meijer_g_2313(3.0, 2.0)
-        assert abs(a - b) < 1e-14
-
-
 # The Gamma-average domain: every (m_z, x) pair meets each b once and three
 # of the four shifts, which rotate so that each m_z and each x meets them all.
 AVERAGE_SHAPES = (0.5, 1.3, 4.0, 40.0)
@@ -117,11 +65,37 @@ class TestErfcGammaAverage:
 
     @pytest.mark.parametrize("m_z", (0.5, 1.0, 2.0, 40.0))
     def test_meijer_g_matches_oracle(self, gamma_average_oracle, m_z):
-        # the unshifted, unit-b average; m_z = 1 at x = 1000 was 132% off
-        # under an absolute quadrature tolerance of 1e-13
+        # the unshifted, unit-b average, the paper's Meijer-G form G(x);
+        # m_z = 1 at x = 1000 was 132% off under an absolute quadrature
+        # tolerance of 1e-13
         for x in (1e-3, 2.0, 1e3, 1e5):
             ref = gamma_average_oracle(x, m_z)
-            assert abs(specfun.meijer_g_2313(x, m_z) - ref) <= 1e-9 * ref
+            assert abs(specfun.erfc_gamma_average(x, m_z) - ref) <= 1e-9 * ref
+
+    def test_high_snr_limit_vanishes(self):
+        values = [specfun.erfc_gamma_average(x, 2.0) for x in (5.0, 10.0, 20.0, 39.0)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+        assert values[-1] < 1e-4
+
+    def test_zero_snr_limit_is_coin_flip(self):
+        # with unit constants the bit error rate is G/2 -> 1/2
+        for m_z in (1.0, 2.0, 3.5):
+            assert abs(0.5 * specfun.erfc_gamma_average(1e-9, m_z) - 0.5) < 1e-3
+
+    def test_single_interferer_case_matches_direct_quadrature(self):
+        # x = (Es/N0)/Omega_z = 2 for one shape-2 unit-power interferer at 20 dB;
+        # G(x) = (1/sqrt(pi)) int_0^inf e^-y y^-1/2 Gamma_upper(m_z, x/y) dy,
+        # integrated in y = t^2 to remove the singularity at 0
+        x, m_z = 2.0, 2.0
+
+        def integrand(t):
+            return 2.0 * math.exp(-t * t) * special.gammaincc(m_z, x / (t * t))
+
+        value, _ = integrate.quad(integrand, 0.0, math.inf, epsabs=0.0,
+                                  epsrel=1e-13, limit=200)
+        oracle = value / math.sqrt(math.pi)
+        got = specfun.erfc_gamma_average(x, m_z)
+        assert abs(got - oracle) <= 1e-10 * oracle
 
     # the second peaks narrower than the first search grid's step: without
     # the search around the grid's best node its scaled integrand overflows
