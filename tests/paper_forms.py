@@ -10,7 +10,9 @@ test_paper_forms.py pins each form against the route that must agree:
   analytic.multiuser_ber;
 - the SINR distribution F(y) and its density against the Gamma law of the
   interference power;
-- the multi-branch diversity approximation, against its hand values.
+- the multi-branch diversity approximation, against its hand values;
+- the Erlang densities and their mixture, which test_analytic.py checks
+  for unit mass and non-negativity.
 
 Nothing here checks its inputs.  The Erlang mixture needs integer shapes
 and pairwise distinct scales.  Its terms alternate in sign, so at high SNR
@@ -24,6 +26,11 @@ families of poles collide.
 import math
 
 from scipy import special
+
+
+def erlang_pdf(z: float, k: int, mu: float) -> float:
+    """Erlang(k, mu) density z^(k-1) e^(-z/mu) / (mu^k (k-1)!) on z >= 0."""
+    return z ** (k - 1) * math.exp(-z / mu) / (mu ** k * math.factorial(k - 1))
 
 
 def xi_terms(shapes, scales) -> list:
@@ -45,6 +52,11 @@ def xi_terms(shapes, scales) -> list:
             c.append(math.fsum(e[j] * c[n - j] for j in range(1, n + 1)) / n)
         terms += [(g0 * c[n], mi - n, mui) for n in range(mi)]
     return terms
+
+
+def mixture_pdf(z: float, terms) -> float:
+    """sum weight * Erlang(z; k, mu) over the (weight, k, mu) triples of xi_terms."""
+    return math.fsum(w * erlang_pdf(z, k, mu) for w, k, mu in terms)
 
 
 def erlang_term_ser(k: int, mu: float, A: float, B: float) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+import paper_forms
 from otfslab import analytic, cli, fading, specfun
 from otfslab.analytic import (MAX_TOTAL_SHAPE, gamma_approx, mod_params,
                               multiuser_ber, semi_analytic_mc_ber, sinr_moments,
@@ -43,6 +44,53 @@ class TestModParams:
             mod_params("fsk", 2)
         with pytest.raises(ConfigError):
             mod_params("qam", 12)
+
+
+def _quad(f, a, b):
+    return integrate.quad(f, a, b, limit=300)
+
+
+class TestErlang:
+    """The Erlang densities of the paper's mixture (paper_forms.erlang_pdf)."""
+
+    def test_exponential_density_at_zero(self):
+        assert abs(paper_forms.erlang_pdf(0.0, 1, 0.25) - 4.0) < 1e-14
+
+    def test_pdf_integrates_to_one(self):
+        for k, mu in ((1, 0.5), (2, 1.3), (4, 0.2)):
+            total, _ = _quad(lambda z, k=k, mu=mu: paper_forms.erlang_pdf(z, k, mu),
+                             0.0, math.inf)
+            assert abs(total - 1.0) < 1e-10
+
+
+class TestXiCoefficients:
+    """The Erlang mixture of a sum of Gamma path SNRs (paper_forms.xi_terms)."""
+
+    def test_single_path_single_term(self):
+        # the lower orders of the one pole carry weight exactly 0
+        terms = paper_forms.xi_terms((2,), (0.5,))
+        assert [t for t in terms if t[0] != 0.0] == [(1.0, 2, 0.5)]
+
+    def test_three_path_mixture_normalizes(self):
+        terms = paper_forms.xi_terms((1, 2, 3), (1.0, 0.45, 0.21))
+        total, _ = _quad(lambda z: paper_forms.mixture_pdf(z, terms), 0.0, math.inf)
+        assert abs(total - 1.0) < 1e-8
+
+    def test_completeness_and_nonnegativity(self):
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            P = int(rng.integers(1, 4))
+            shapes = tuple(int(m) for m in rng.integers(1, 5, P))
+            scales = []
+            v = rng.uniform(0.2, 0.8)
+            for _ in range(P):
+                scales.append(float(v))
+                v *= rng.uniform(1.6, 3.0)
+            terms = paper_forms.xi_terms(shapes, scales)
+            assert abs(math.fsum(w for w, _, _ in terms) - 1.0) < 1e-9
+            grid = np.linspace(1e-3, 30.0, 1000)
+            pdf = np.array([paper_forms.mixture_pdf(float(z), terms) for z in grid])
+            assert pdf.min() > -1e-9
 
 
 ORACLE_MODS = (mod_params("bpsk"), mod_params("qpsk"), mod_params("qam", 16))
@@ -186,6 +234,25 @@ class TestSinrMachinery:
             gamma_approx(0.0, 0.0)
         mu, var = sinr_moments(3.0, [])
         assert (mu, var) == (0.0, 0.0)
+
+
+class TestSinrDistribution:
+    """The printed SINR distribution F(y) (paper_forms.sinr_cdf)."""
+
+    M_Z, OMEGA_Z = 2.0, 1.0
+
+    def test_printed_form_endpoints(self):
+        g = 10.0
+        assert paper_forms.sinr_cdf(g, g, self.M_Z, self.OMEGA_Z) == \
+            pytest.approx(0.0, abs=1e-15)
+        assert paper_forms.sinr_cdf(1e-9 * g, g, self.M_Z, self.OMEGA_Z) == \
+            pytest.approx(1.0, abs=1e-12)
+
+    def test_monotone_nonincreasing_in_y(self):
+        g = 10.0
+        ys = np.linspace(0.05, g, 60)
+        vals = [paper_forms.sinr_cdf(float(y), g, self.M_Z, self.OMEGA_Z) for y in ys]
+        assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 class TestMultiuserBer:
