@@ -242,8 +242,11 @@ def semi_analytic_mc_ber(es_n0: float, desired, interferers, mod: ModErrorParams
     raises TypeError) ends where sample_nakagami_gains would leave it.  It
     forms SINR = (Es/N0)/(1 + S) and averages A*Q(sqrt(2*B*SINR))/log2(M).
     The printed SINR carries no desired-channel fading, so `desired` is
-    unused.  Returns (ber, standard_error).  With no interferers the result
-    is the deterministic formula and the standard error is zero.
+    unused.  Returns (ber, standard_error), the bits of np.mean and of
+    np.std(ddof=1) / sqrt(trials) over the trials' conditional BERs, formed
+    in the drawn array: one array of `trials` doubles plus one draw chunk is
+    live.  With no interferers the result is the deterministic formula and
+    the standard error is zero.
 
     The engine may call this from a worker thread, several points at once.
     It reads only `rng`, the stream its caller made for this point, and
@@ -265,8 +268,15 @@ def semi_analytic_mc_ber(es_n0: float, desired, interferers, mod: ModErrorParams
     x *= mod.B
     np.sqrt(x, out=x)
     special.erfc(x, out=x)
+    # the moments in place, by np.mean's and np.std(ddof=1)'s own steps, so
+    # they are those functions' bits without std's temporary of `trials`
+    mean = np.add.reduce(x, keepdims=True)
+    mean /= trials
+    x -= mean
+    np.square(x, out=x)
+    var = float(np.add.reduce(x)) / (trials - 1)
     # A*Q(sqrt(2u)) = (A/2) erfc(sqrt(u)); the constant factors out of both moments
     scale = 0.5 * mod.A / mod.bits_per_symbol
-    ber = scale * float(np.mean(x))
-    se = scale * float(np.std(x, ddof=1)) / math.sqrt(trials)
+    ber = scale * float(mean[0])
+    se = scale * math.sqrt(var) / math.sqrt(trials)
     return ber, se

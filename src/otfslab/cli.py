@@ -428,8 +428,9 @@ def cmd_compare(args) -> int:
              notes=[f"ofdm baseline: {cfg.ofdm_chain} chain"])
     for wf, curve in (("otfs", otfs), ("ofdm", ofdm)):
         last = curve.points[-1]
-        print(f"{wf}: BER {last.ber:.4e} at {last.snr_db:g} dB "
-              f"({last.bit_errors} errors)")
+        # semi-analytic points count no bits, so they have no error count
+        errors = f" ({last.bit_errors} errors)" if last.bits > 0 else ""
+        print(f"{wf}: BER {last.ber:.4e} at {last.snr_db:g} dB{errors}")
     return 0
 
 
@@ -447,25 +448,27 @@ def cmd_diversity(args) -> int:
     cfg = SweepConfig(paths=(PathSpec(m=1, omega=1.0),), master_seed=seed,
                       preset="table3-p1m1", **base)
     otfs, ofdm = engine.paired_comparison(cfg)
+    p1_gd = diversity.siso_gd_approx([p.m for p in cfg.paths])
     reports.append(diversity.DiversityReport(
         gd_empirical=diversity.empirical_gd(otfs, *snr_pair), snr_pair=snr_pair,
-        gd_approx=diversity.siso_gd_approx((1,)), config_label="otfs-p1-m1"))
+        gd_approx=p1_gd, config_label="otfs-p1-m1"))
     reports.append(diversity.DiversityReport(
         gd_empirical=diversity.empirical_gd(ofdm, *snr_pair), snr_pair=snr_pair,
-        gd_approx=diversity.siso_gd_approx((1,)), config_label="ofdm-p1-m1"))
+        gd_approx=p1_gd, config_label="ofdm-p1-m1"))
 
     p2 = SweepConfig(paths=(PathSpec(m=1, omega=TABLE3_P2_OMEGAS[0], l=0),
                             PathSpec(m=2, omega=TABLE3_P2_OMEGAS[1], l=1)),
                      master_seed=seed + 1, preset="table3-p2m12", **base)
     window = (30.0, 40.0) if args.asymptotic else snr_pair
     p2_curve = engine.run_sweep(replace(p2, snr_db=window))
+    p2_gd = diversity.siso_gd_approx([p.m for p in p2.paths])
     reports.append(diversity.DiversityReport(
         gd_empirical=diversity.empirical_gd(p2_curve, *window, use_analytic=True),
-        snr_pair=window, gd_approx=diversity.siso_gd_approx((1, 2)),
+        snr_pair=window, gd_approx=p2_gd,
         config_label="otfs-p2-m12-analytic"))
     reports.append(diversity.DiversityReport(
         gd_empirical=diversity.empirical_gd(p2_curve, *window),
-        snr_pair=window, gd_approx=diversity.siso_gd_approx((1, 2)),
+        snr_pair=window, gd_approx=p2_gd,
         config_label="otfs-p2-m12-simulated"))
 
     print(f"# diversity report (window {window[0]:g}->{window[1]:g} dB; "

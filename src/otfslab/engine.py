@@ -323,8 +323,13 @@ def _run_semianalytic(config: SweepConfig, progress=None) -> BerCurve:
 def paired_comparison(config: SweepConfig, progress=None) -> tuple:
     """(OTFS curve, OFDM curve) over identical channel/noise realizations,
     each equal to ``run_sweep`` of its own config.  Waveform modes run one
-    pass that draws each batch once; ``progress`` hears each chain fed."""
+    pass that draws each batch once; ``progress`` hears each chain fed.
+
+    The semi-analytic route does not read the waveform, so it runs once and
+    the OFDM curve is the OTFS one under the OFDM config; ``progress`` hears
+    each point once."""
     configs = (replace(config, waveform="otfs"), replace(config, waveform="ofdm"))
     if config.mode == "simo-semianalytic":
-        return tuple(_run_semianalytic(c, progress) for c in configs)
+        curve = _run_semianalytic(configs[0], progress)
+        return curve, replace(curve, waveform="ofdm", config=configs[1])
     return _run_waveform(configs, progress)

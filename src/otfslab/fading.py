@@ -17,8 +17,9 @@ whose variates are that scale times a standard Gamma variate; and
 per value, as ``random`` does.  A draw that only sums the powers does not
 compute the phases at all: each double is one 64-bit Philox word, so it moves
 the stream past them by counter arithmetic and lands where drawing them would
-have left it.  Its first path's powers go straight into the sum, so a one-path
-sum holds one array and a longer one two, however many paths there are.
+have left it.  Its first path's powers go straight into the sum and each later
+path's come in chunks of _POWER_CHUNK, so one array of the sum's size plus one
+chunk is live, however many paths there are.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ EVA_POWERS_DB = (0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9)
 # Philox4x64 counter step: four 64-bit words, one per double drawn
 _PHILOX_WORDS = 4
 _WORD_MASK = (1 << 64) - 1
+
+# doubles per chunk in which sample_total_power adds the second and later
+# paths' powers to the sum (128 KiB)
+_POWER_CHUNK = 16_384
 
 
 @dataclass(frozen=True)
@@ -93,33 +98,23 @@ def _skip_doubles(rng: np.random.Generator, n: int) -> None:
     bitgen.random_raw(tail)
 
 
-def _path_draws(specs, rng: np.random.Generator, powers, phase):
-    """Draw each path in turn, Gamma(m, omega/m) powers into ``powers[p]``
-    and then uniform phases on [0, 2 pi) into ``phase``, and yield p.
-
-    A ``phase`` of None skips the phases (_skip_doubles) and needs a Philox
-    stream; any other generator raises TypeError before anything is drawn.
-    """
-    if phase is None and not isinstance(rng.bit_generator, np.random.Philox):
-        raise TypeError(f"skipping phases needs a Philox stream (make_stream), "
-                        f"got {type(rng.bit_generator).__name__}")
-    for p, spec in enumerate(specs):
-        power = powers[p]
-        rng.standard_gamma(spec.m, out=power)
-        power *= spec.omega / spec.m
-        if phase is None:
-            _skip_doubles(rng, power.size)
-        else:
-            rng.random(out=phase)
-            phase *= 2.0 * math.pi
-        yield p
+def _draw_power(spec: PathSpec, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Gamma(m, omega/m) powers into ``out``, the bits of rng.gamma's."""
+    rng.standard_gamma(spec.m, out=out)
+    out *= spec.omega / spec.m
 
 
 def sample_nakagami_gains(specs, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized draw: (size, len(specs)) complex gains, one column per path."""
+    """Vectorized draw: (size, len(specs)) complex gains, one column per path.
+
+    Each path draws its Gamma(m, omega/m) powers and then its uniform phases
+    on [0, 2 pi)."""
     out = np.empty((size, len(specs)), dtype=np.complex128)
     power, phase = np.empty(size), np.empty(size)
-    for p in _path_draws(specs, rng, [power] * len(specs), phase):
+    for p, spec in enumerate(specs):
+        _draw_power(spec, rng, power)
+        rng.random(out=phase)
+        phase *= 2.0 * math.pi
         out[:, p] = np.sqrt(power) * np.exp(1j * phase)
     return out
 
@@ -128,20 +123,29 @@ def sample_total_power(specs, rng: np.random.Generator, size: int) -> np.ndarray
     """(size,) sums over paths of the powers |h_p|^2.
 
     Leaves ``rng``, which must be a Philox stream (make_stream; any other
-    raises TypeError), where sample_nakagami_gains would: each path's phases
-    are skipped rather than drawn, so the next path's powers, and any later
-    draw, are the same variates as there.  The sums equal those of the
-    gains' squared magnitudes to within rounding.  The first path's powers
-    are drawn into the sums and the others into one scratch buffer, so one
-    array of ``size`` is live for one path and two for more.
+    raises TypeError before anything is drawn), where sample_nakagami_gains
+    would: each path's phases are skipped rather than drawn, so the next
+    path's powers, and any later draw, are the same variates as there.  The
+    sums equal those of the gains' squared magnitudes to within rounding.
+    The first path's powers are drawn into the sums; each later path's are
+    drawn _POWER_CHUNK at a time, which reads the stream as one draw of
+    ``size`` does, and added in.  So one array of ``size`` plus one chunk is
+    live, whatever the number of paths.
     """
+    if not isinstance(rng.bit_generator, np.random.Philox):
+        raise TypeError(f"skipping phases needs a Philox stream (make_stream), "
+                        f"got {type(rng.bit_generator).__name__}")
     total = np.zeros(size)
-    powers = [total]
-    if len(specs) > 1:
-        powers += [np.empty(size)] * (len(specs) - 1)
-    for p in _path_draws(specs, rng, powers, None):
-        if p:
-            total += powers[p]
+    chunk = np.empty(min(size, _POWER_CHUNK)) if len(specs) > 1 else None
+    for p, spec in enumerate(specs):
+        if p == 0:
+            _draw_power(spec, rng, total)
+        else:
+            for start in range(0, size, _POWER_CHUNK):
+                part = chunk[:min(_POWER_CHUNK, size - start)]
+                _draw_power(spec, rng, part)
+                total[start:start + part.size] += part
+        _skip_doubles(rng, size)
     return total
 
 

@@ -1,6 +1,7 @@
 """Closed-form error-rate machinery against independent numerical oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,6 +370,45 @@ class TestSemiAnalyticMc:
         exact = multiuser_ber(g, approx, mod)
         ber, se = semi_analytic_mc_ber(g, [], users, mod, make_stream(43, 0), 300_000)
         assert abs(ber - exact) < 3 * se
+
+
+class TestSemiAnalyticMcMoments:
+    """The moments are np.mean's and np.std's, formed in the drawn array."""
+
+    # not a multiple of fading._POWER_CHUNK, so the last chunk is partial
+    TRIALS = 200_003
+    USERS = {
+        "one-path": [[PathSpec(m=2, omega=0.02)]],
+        "three-path": [[PathSpec(m=1, omega=0.01), PathSpec(m=2, omega=0.005, l=1)],
+                       [PathSpec(m=0.7, omega=0.002, k=1)]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(USERS))
+    @pytest.mark.parametrize("es_n0", [1.0, 100.0])
+    def test_equals_numpy_mean_and_std(self, name, es_n0):
+        users, trials = self.USERS[name], self.TRIALS
+        mod = mod_params("qpsk")
+        ber, se = semi_analytic_mc_ber(es_n0, [], users, mod, make_stream(46, 0), trials)
+        u = fading.sample_total_power([p for user in users for p in user],
+                                      make_stream(46, 0), trials)
+        u = special.erfc(np.sqrt(mod.B * (es_n0 / (1.0 + es_n0 * u))))
+        scale = 0.5 * mod.A / mod.bits_per_symbol
+        assert ber == scale * float(np.mean(u))
+        assert se == scale * float(np.std(u, ddof=1)) / math.sqrt(trials)
+
+    @pytest.mark.parametrize("name", sorted(USERS))
+    def test_holds_one_array_of_trials(self, name):
+        # the draw's array plus one chunk; np.std's temporary would add a
+        # second array of trials
+        users, trials = self.USERS[name], self.TRIALS
+        mod = mod_params("qpsk")
+        tracemalloc.start()
+        try:
+            semi_analytic_mc_ber(10.0, [], users, mod, make_stream(47, 0), trials)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * trials
 
 
 def complex_gain_semi_mc(es_n0, interferers, mod, rng, trials):

@@ -143,6 +143,22 @@ class TestCliCommands:
         waveforms = {row[7] for row in parse_csv_rows(out)}
         assert waveforms == {"otfs", "ofdm"}
 
+    def test_compare_prints_error_counts_only_where_bits_are_counted(
+            self, tmp_path, capsys):
+        cfg = tmp_path / "simo.cfg"
+        cfg.write_text("mode = simo-semianalytic\nscheme = qpsk\npath1 = 2,1.0\n"
+                       "interferer1 = 1,0.01;2,0.005,1;3,0.002,0,1\n")
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--config", str(cfg), "--snr", "0:10:10",
+                     "--out", str(out)] + fast_args()) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split(":")[0] for ln in lines] == ["otfs", "ofdm"]
+        assert not any("errors" in ln for ln in lines)
+        assert main(["compare", "--snr", "6:2:8", "--out", str(out)]
+                    + fast_args()) == 0
+        assert all(ln.endswith(" errors)")
+                   for ln in capsys.readouterr().out.splitlines())
+
     def test_figure1_preset_grid(self, tmp_path):
         out = tmp_path / "fig1.csv"
         rc = main(["figure", "1", "--out", str(out)] + fast_args())

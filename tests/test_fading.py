@@ -178,19 +178,33 @@ class TestTotalPower:
         assert np.array_equal(total, powers.sum(axis=1))
         assert np.array_equal(drawn.view(np.int64), gains.view(np.int64))
 
+    @pytest.mark.parametrize("name", ["p2-mixed", "p3-non-integer"])
+    def test_chunks_read_the_stream_as_one_draw(self, name):
+        # later paths are drawn fading._POWER_CHUNK at a time: sizes on and
+        # about the chunk edges give one draw's powers and stream position
+        specs = POWER_SPEC_SETS[name]
+        chunk = fading._POWER_CHUNK
+        for size in (chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
+            a, b = make_stream(37, size), make_stream(37, size)
+            total = fading.sample_total_power(specs, a, size)
+            powers, _ = drawn_in_order(specs, b, size)
+            assert np.array_equal(total, powers.sum(axis=1)), size
+            assert np.array_equal(a.random(9), b.random(9)), size
+
     def test_draws_in_place(self):
-        # one path draws into the sums; more add one scratch buffer.  A draw
-        # that allocated per path (powers, then phases, beside the sums)
-        # peaks at five arrays
+        # the first path draws into the sums and later ones add one chunk of
+        # fading._POWER_CHUNK (0.08 of the sums here).  A scratch array of
+        # the sums' size peaks at two arrays, and a draw that allocated per
+        # path (powers, then phases, beside the sums) at five
         size = 200_000
-        for name, arrays in (("p1", 1), ("p2-mixed", 2), ("p3-mixed", 2)):
+        for name in ("p1", "p2-mixed", "p3-mixed"):
             tracemalloc.start()
             try:
                 fading.sample_total_power(POWER_SPEC_SETS[name], make_stream(34, 0), size)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= (arrays + 0.5) * 8 * size, name
+            assert peak <= 1.25 * 8 * size, name
 
 
 class TestEvaPlacement:
