@@ -232,29 +232,35 @@ def deterministic_ber(es_n0: float, mod: ModErrorParams) -> float:
         / mod.bits_per_symbol
 
 
-def semi_analytic_mc_ber(es_n0: float, desired, interferers, mod: ModErrorParams,
-                         rng: np.random.Generator, trials: int = 100_000) -> tuple:
+# the fewest trials semi_analytic_mc_ber accepts; the engine raises a
+# smaller frame cap to it
+SEMI_MC_MIN_TRIALS = 10_000
+
+
+def semi_analytic_mc_ber(es_n0: float, interferers, mod: ModErrorParams,
+                         rng: np.random.Generator, trials: int) -> tuple:
     """Monte Carlo over SINR realizations averaged through the conditional SER.
 
     Draws the interference power S = (Es/N0) * sum_p |h_p|^2 per trial with
     fading.sample_total_power, which draws only the path powers and skips
     the phases, so `rng` (a Philox stream from fading.make_stream; any other
     raises TypeError) ends where sample_nakagami_gains would leave it.  It
-    forms SINR = (Es/N0)/(1 + S) and averages A*Q(sqrt(2*B*SINR))/log2(M).
-    The printed SINR carries no desired-channel fading, so `desired` is
-    unused.  Returns (ber, standard_error), the bits of np.mean and of
-    np.std(ddof=1) / sqrt(trials) over the trials' conditional BERs, formed
-    in the drawn array: one array of `trials` doubles plus one draw chunk is
-    live.  With no interferers the result is the deterministic formula and
-    the standard error is zero.
+    forms SINR = (Es/N0)/(1 + S) and averages A*Q(sqrt(2*B*SINR))/log2(M);
+    the printed SINR carries no desired-channel fading.  `trials` is at
+    least SEMI_MC_MIN_TRIALS.  Returns (ber, standard_error), the bits of
+    np.mean and of np.std(ddof=1) / sqrt(trials) over the trials'
+    conditional BERs, formed in the drawn array: one array of `trials`
+    doubles plus one draw chunk is live.  With no interferers the result is
+    the deterministic formula and the standard error is zero.
 
     The engine may call this from a worker thread, several points at once.
     It reads only `rng`, the stream its caller made for this point, and
     allocates its own arrays, so concurrent calls on distinct streams give
     the values serial calls give.
     """
-    if trials < 10_000:
-        raise ConfigError(f"semi-analytic MC needs >= 1e4 trials, got {trials}")
+    if trials < SEMI_MC_MIN_TRIALS:
+        raise ConfigError(f"semi-analytic MC needs >= {SEMI_MC_MIN_TRIALS} "
+                          f"trials, got {trials}")
     flat = [p for user in interferers for p in user]
     if not flat:
         return deterministic_ber(es_n0, mod), 0.0

@@ -11,11 +11,13 @@ Subcommands:
 Exit codes: 0 success, 2 configuration error, 3 capacity error,
 4 numeric non-convergence.
 
-Every CSV embeds its resolved configuration as ``# cfg key = value`` comment
-lines; feeding the CSV back through ``--config`` reproduces the data rows
-byte for byte; their ``workers`` line, if any, is ignored.  ``--verbose``
-prints a line per running chain every ten batches (OTFS first), and a line
-of trials per semi-analytic point.
+Configs are read and written through one table of keys, ``_KEYS``; a key a
+config leaves unset takes SweepConfig's default.  Every CSV embeds its
+resolved configuration as ``# cfg key = value`` comment lines; feeding the
+CSV back through ``--config`` reproduces the data rows byte for byte; their
+``workers`` line, if any, is ignored.  ``--verbose`` prints a line per
+running chain every ten batches (OTFS first), and a line of trials per
+semi-analytic point.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from operator import attrgetter
 
 from . import __version__, analytic, diversity, engine, kernels
 from .engine import BerCurve, SweepConfig
@@ -45,46 +48,22 @@ FIG3_INTERFERER_OMEGA = 0.015
 MATCHED_FILTER_NOTE = ("note: with more than one path, ber_analytic is the "
                        "matched-filter (full-diversity) bound over the summed "
                        "path SNRs, not a prediction of uncoded ML OTFS")
-# A semi-analytic config without interferers has a deterministic SINR.
+# A semi-analytic config without interferers has a deterministic SINR;
+# emit_csv labels it.
 INTERFERENCE_FREE_NOTE = ("warning: interference-free preset; points use the "
                           "deterministic conditional-error formula "
                           "A*Q(sqrt(2*B*EsN0))/log2(M)")
 
 
 # ---------------------------------------------------------------------------
-# Config file format: flat "key = value" lines, '#' comments, unknown keys
-# are hard errors.  CSV outputs are also accepted: their '# cfg ' comment
-# lines carry the full resolved configuration; "workers" is read and ignored.
+# Config file format: flat "key = value" lines and '#' comments; an unknown
+# or repeated key, or a line without '=', is a hard error.  An emitted CSV
+# reads as its '# cfg ' lines up to its header; "workers" is read and ignored.
+# _KEYS holds the format: key -> (field on SweepConfig, or "grid.<field>",
+# parser, writer), in manifest order; path<i> and interferer<i> follow.  An
+# unset key keeps SweepConfig's default (the grid: Table 2's).  "snr"
+# (start:step:stop, wins over snr_list) and "eva" are read, never written.
 # ---------------------------------------------------------------------------
-
-_KNOWN_KEYS = {
-    "grid_m", "grid_n", "delta_f_hz", "scheme", "order", "snr", "snr_list",
-    "max_frames", "target_errors", "seed", "waveform", "mode", "workers",
-    "ofdm_chain", "preset", "eva",
-} | {f"path{i}" for i in range(1, 33)} | {f"interferer{i}" for i in range(1, 33)}
-
-
-def parse_config_text(text: str) -> dict:
-    kv = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("# cfg "):
-            line = line[len("# cfg "):].strip()
-        elif line.startswith("#") or not line:
-            continue
-        if "," in line and "=" not in line:
-            continue  # CSV header/data row
-        if "=" not in line:
-            raise ConfigError(f"malformed config line: {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        if key in kv:
-            raise ConfigError(f"duplicate config key {key!r}")
-        kv[key] = value.strip()
-    return kv
-
 
 def _parse_path(text: str) -> PathSpec:
     parts = [p.strip() for p in text.split(",")]
@@ -101,6 +80,10 @@ def _parse_path(text: str) -> PathSpec:
     except ValueError as e:
         raise ConfigError(f"malformed path spec {text!r}: {e}") from e
     return PathSpec(m=m, omega=omega, l=l, k=k, kappa=kappa)
+
+
+def _fmt_path(p: PathSpec) -> str:
+    return f"{p.m},{p.omega!r},{p.l},{p.k},{p.kappa!r}"
 
 
 def _parse_snr_list(text: str) -> tuple:
@@ -127,22 +110,68 @@ def _parse_snr(text: str) -> tuple:
     return tuple(out)
 
 
+_KEYS = {
+    "grid_m": ("grid.M", int, str),
+    "grid_n": ("grid.N", int, str),
+    "delta_f_hz": ("grid.delta_f", float, repr),
+    "scheme": ("scheme", str.lower, str),
+    "order": ("order", int, str),
+    "snr_list": ("snr_db", _parse_snr_list, lambda snr: ",".join(map(repr, snr))),
+    "max_frames": ("max_frames", int, str),
+    "target_errors": ("target_bit_errors", int, str),
+    "seed": ("master_seed", int, str),
+    "waveform": ("waveform", str, str),
+    "mode": ("mode", str, str),
+    "ofdm_chain": ("ofdm_chain", str, str),
+    "preset": ("preset", str, str),
+}
+_PATH_KEYS = tuple(f"path{i}" for i in range(1, 33))
+_INTERFERER_KEYS = tuple(f"interferer{i}" for i in range(1, 33))
+_KNOWN_KEYS = {*_KEYS, "snr", "eva", "workers", *_PATH_KEYS, *_INTERFERER_KEYS}
+
+
+def parse_config_text(text: str) -> dict:
+    kv = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line == CSV_HEADER:
+            break  # an emitted CSV: only data rows follow
+        if line.startswith("# cfg "):
+            line = line[len("# cfg "):].strip()
+        elif line.startswith("#") or not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"malformed config line: {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _KNOWN_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        if key in kv:
+            raise ConfigError(f"duplicate config key {key!r}")
+        kv[key] = value.strip()
+    return kv
+
+
 def config_from_kv(kv: dict) -> SweepConfig:
-    def number(key, default, kind=int):
+    """The SweepConfig the keys set; the keys left unset keep its defaults."""
+    fields, grid = {}, {}
+    for key, (field, parse, _) in _KEYS.items():
         if key not in kv:
-            return default
+            continue
         try:
-            return kind(kv[key])
+            value = parse(kv[key])
         except ValueError as e:
             raise ConfigError(f"malformed {key} {kv[key]!r}: {e}") from e
-
-    grid = OtfsGrid(M=number("grid_m", 2), N=number("grid_n", 2),
-                    delta_f=number("delta_f_hz", 15e3, float))
-    paths = []
-    for i in range(1, 33):
-        key = f"path{i}"
-        if key in kv:
-            paths.append(_parse_path(kv[key]))
+        if field.startswith("grid."):
+            grid[field[len("grid."):]] = value
+        else:
+            fields[field] = value
+    fields["grid"] = replace(_table2_grid(), **grid)
+    if "snr" in kv:
+        fields["snr_db"] = _parse_snr(kv["snr"])
+    if fields.get("scheme") == "qpsk":
+        fields.setdefault("order", 4)
+    paths = tuple(_parse_path(kv[key]) for key in _PATH_KEYS if key in kv)
     if "eva" in kv:
         if paths:
             raise ConfigError("give either explicit paths or an eva directive, not both")
@@ -151,54 +180,25 @@ def config_from_kv(kv: dict) -> SweepConfig:
             P, fc_hz, speed_mps = int(P), float(fc_hz), float(speed_mps)
         except ValueError as e:
             raise ConfigError(f"malformed eva directive {kv['eva']!r}: {e}") from e
-        paths = list(eva_grid_placement(grid, fc_hz, speed_mps, P,
-                                        make_stream(number("seed", 1), 0xE7A)))
-    if not paths:
-        paths = [PathSpec(m=1, omega=1.0)]
-    interferers = []
-    for i in range(1, 33):
-        key = f"interferer{i}"
-        if key in kv:
-            interferers.append(tuple(_parse_path(chunk)
-                                     for chunk in kv[key].split(";")))
-    snr = _parse_snr(kv["snr"]) if "snr" in kv else \
-        _parse_snr_list(kv["snr_list"]) if "snr_list" in kv else \
-        tuple(float(s) for s in range(0, 21, 2))
-    scheme = kv.get("scheme", "bpsk")
-    default_order = {"bpsk": 2, "qpsk": 4}.get(scheme)
-    return SweepConfig(
-        grid=grid, scheme=scheme,
-        order=number("order", default_order or 2),
-        paths=tuple(paths),
-        snr_db=snr,
-        max_frames=number("max_frames", 10_000_000),
-        target_bit_errors=number("target_errors", 200),
-        master_seed=number("seed", 1),
-        waveform=kv.get("waveform", "otfs"),
-        mode=kv.get("mode", "siso-waveform"),
-        interferers=tuple(interferers),
-        ofdm_chain=kv.get("ofdm_chain", "cp"),
-        preset=kv.get("preset", "custom"),
-    )
+        seed = fields.get("master_seed", SweepConfig.master_seed)
+        paths = tuple(eva_grid_placement(fields["grid"], fc_hz, speed_mps, P,
+                                         make_stream(seed, 0xE7A)))
+    if paths:
+        fields["paths"] = paths
+    interferers = tuple(tuple(_parse_path(chunk) for chunk in kv[key].split(";"))
+                        for key in _INTERFERER_KEYS if key in kv)
+    if interferers:
+        fields["interferers"] = interferers
+    return SweepConfig(**fields)
 
 
 def config_to_kv(config: SweepConfig) -> dict:
-    kv = {
-        "grid_m": config.grid.M, "grid_n": config.grid.N,
-        "delta_f_hz": repr(config.grid.delta_f),
-        "scheme": config.scheme, "order": config.order,
-        "snr_list": ",".join(repr(s) for s in config.snr_db),
-        "max_frames": config.max_frames,
-        "target_errors": config.target_bit_errors,
-        "seed": config.master_seed, "waveform": config.waveform,
-        "mode": config.mode,
-        "ofdm_chain": config.ofdm_chain, "preset": config.preset,
-    }
+    kv = {key: write(attrgetter(field)(config))
+          for key, (field, _, write) in _KEYS.items()}
     for i, p in enumerate(config.paths, start=1):
-        kv[f"path{i}"] = f"{p.m},{p.omega!r},{p.l},{p.k},{p.kappa!r}"
+        kv[f"path{i}"] = _fmt_path(p)
     for i, user in enumerate(config.interferers, start=1):
-        kv[f"interferer{i}"] = ";".join(
-            f"{p.m},{p.omega!r},{p.l},{p.k},{p.kappa!r}" for p in user)
+        kv[f"interferer{i}"] = ";".join(map(_fmt_path, user))
     return kv
 
 
@@ -242,6 +242,8 @@ def emit_csv(curves, path, notes=(), config: SweepConfig | None = None) -> None:
         lines.append(f"# {note}")
     if cfg is not None and cfg.mode == "siso-waveform" and len(cfg.paths) > 1:
         lines.append(f"# {MATCHED_FILTER_NOTE}")
+    if cfg is not None and cfg.mode == "simo-semianalytic" and not cfg.interferers:
+        lines.append(f"# {INTERFERENCE_FREE_NOTE}")
     lines.append(CSV_HEADER)
     for curve in curves:
         lines.extend(curve_rows(curve))
@@ -275,18 +277,16 @@ def _table2_grid() -> OtfsGrid:
 
 def figure_config(number: int, seed: int | None, target_errors: int | None,
                   max_frames: int | None, workers=None) -> list:
-    """(config, notes) pairs for one paper-replication figure preset."""
+    """(config, notes) pairs for one paper-replication figure preset.  A
+    budget left None is 2000 bit errors, or SweepConfig's frame cap."""
     # `workers` is ignored; ROADMAP P0 retires the positional argument
-    grid = _table2_grid()
-    te = target_errors if target_errors is not None else 2000
-    mf = max_frames if max_frames is not None else 10_000_000
-    base = dict(grid=grid, snr_db=tuple(float(s) for s in range(0, 21, 2)),
-                max_frames=mf, target_bit_errors=te)
+    mf = SweepConfig.max_frames if max_frames is None else max_frames
+    base = dict(grid=_table2_grid(), max_frames=mf,
+                target_bit_errors=2000 if target_errors is None else target_errors)
     runs = []
     if number == 1:
         for m in (1, 2):
-            cfg = SweepConfig(scheme="bpsk", order=2,
-                              paths=(PathSpec(m=m, omega=1.0),),
+            cfg = SweepConfig(paths=(PathSpec(m=m, omega=1.0),),
                               master_seed=seed if seed is not None else 20260801 + m,
                               preset=f"fig1-m{m}", **base)
             runs.append((cfg, ["channel: single path, unit power"]))
@@ -310,13 +310,9 @@ def figure_config(number: int, seed: int | None, target_errors: int | None,
                               master_seed=seed if seed is not None else 20260820 + k_u,
                               preset=f"fig3-ku{k_u}",
                               **{**base, "max_frames": min(mf, 200_000)})
-            notes = []
-            if k_u == 1:
-                notes.append(INTERFERENCE_FREE_NOTE)
-            else:
-                notes.append(f"ASSUMED interferer power omega = "
-                             f"{FIG3_INTERFERER_OMEGA} (source value unspecified)")
-            runs.append((cfg, notes))
+            runs.append((cfg, [] if k_u == 1 else [
+                f"ASSUMED interferer power omega = {FIG3_INTERFERER_OMEGA} "
+                f"(source value unspecified)"]))
     elif number == 4:
         for m, k_u in ((1, 1), (2, 2)):
             interferers = () if k_u == 1 else (
@@ -329,13 +325,9 @@ def figure_config(number: int, seed: int | None, target_errors: int | None,
                               master_seed=seed if seed is not None else 20260830 + k_u,
                               preset=f"fig4-m{m}-ku{k_u}",
                               **{**base, "max_frames": min(mf, 200_000)})
-            notes = []
-            if k_u == 1:
-                notes.append(INTERFERENCE_FREE_NOTE)
-            else:
-                notes.append(f"ASSUMED per-path interferer power omega = "
-                             f"{FIG3_INTERFERER_OMEGA / 2} (source value unspecified)")
-            runs.append((cfg, notes))
+            runs.append((cfg, [] if k_u == 1 else [
+                f"ASSUMED per-path interferer power omega = "
+                f"{FIG3_INTERFERER_OMEGA / 2} (source value unspecified)"]))
     else:
         raise ConfigError(f"figure must be 1, 2, 3, or 4, got {number}")
     return runs
@@ -384,21 +376,17 @@ def _apply_overrides(cfg: SweepConfig, args) -> SweepConfig:
 
 
 def _load_config(args) -> SweepConfig:
+    kv = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            cfg = config_from_kv(parse_config_text(fh.read()))
-    else:
-        cfg = SweepConfig(grid=_table2_grid())
-    return _apply_overrides(cfg, args)
+            kv = parse_config_text(fh.read())
+    return _apply_overrides(config_from_kv(kv), args)
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     curve = engine.run_sweep(cfg, _progress_printer(sys.stderr, cfg) if args.verbose else None)
-    notes = []
-    if cfg.mode == "simo-semianalytic" and not cfg.interferers:
-        notes.append(INTERFERENCE_FREE_NOTE)
-    emit_csv(curve, args.out, notes=notes)
+    emit_csv(curve, args.out)
     print(f"wrote {args.out} ({len(curve.points)} points, backend "
           f"{kernels.active_backend()})")
     return 0
@@ -435,53 +423,44 @@ def cmd_compare(args) -> int:
 
 
 def cmd_diversity(args) -> int:
-    seed = args.seed if args.seed is not None else 20260840
-    te = args.target_errors if args.target_errors is not None else 2000
-    mf = args.frames_max if args.frames_max is not None else 10_000_000
-    grid = _table2_grid()
-    snr_pair = (10.0, 20.0)
-    reports = []
-
-    base = dict(grid=grid, scheme="qpsk", order=4, snr_db=snr_pair,
-                max_frames=mf,
-                target_bit_errors=te)
-    cfg = SweepConfig(paths=(PathSpec(m=1, omega=1.0),), master_seed=seed,
-                      preset="table3-p1m1", **base)
-    otfs, ofdm = engine.paired_comparison(cfg)
-    p1_gd = diversity.siso_gd_approx([p.m for p in cfg.paths])
-    reports.append(diversity.DiversityReport(
-        gd_empirical=diversity.empirical_gd(otfs, *snr_pair), snr_pair=snr_pair,
-        gd_approx=p1_gd, config_label="otfs-p1-m1"))
-    reports.append(diversity.DiversityReport(
-        gd_empirical=diversity.empirical_gd(ofdm, *snr_pair), snr_pair=snr_pair,
-        gd_approx=p1_gd, config_label="ofdm-p1-m1"))
-
+    seed = 20260840 if args.seed is None else args.seed
+    base = dict(grid=_table2_grid(), scheme="qpsk", order=4, snr_db=(10.0, 20.0),
+                target_bit_errors=2000 if args.target_errors is None
+                else args.target_errors)
+    if args.frames_max is not None:
+        base["max_frames"] = args.frames_max
+    p1 = SweepConfig(paths=(PathSpec(m=1, omega=1.0),), master_seed=seed,
+                     preset="table3-p1m1", **base)
+    otfs, ofdm = engine.paired_comparison(p1)
     p2 = SweepConfig(paths=(PathSpec(m=1, omega=TABLE3_P2_OMEGAS[0], l=0),
                             PathSpec(m=2, omega=TABLE3_P2_OMEGAS[1], l=1)),
                      master_seed=seed + 1, preset="table3-p2m12", **base)
-    window = (30.0, 40.0) if args.asymptotic else snr_pair
-    p2_curve = engine.run_sweep(replace(p2, snr_db=window))
-    p2_gd = diversity.siso_gd_approx([p.m for p in p2.paths])
-    reports.append(diversity.DiversityReport(
-        gd_empirical=diversity.empirical_gd(p2_curve, *window, use_analytic=True),
-        snr_pair=window, gd_approx=p2_gd,
-        config_label="otfs-p2-m12-analytic"))
-    reports.append(diversity.DiversityReport(
-        gd_empirical=diversity.empirical_gd(p2_curve, *window),
-        snr_pair=window, gd_approx=p2_gd,
-        config_label="otfs-p2-m12-simulated"))
+    if args.asymptotic:
+        p2 = replace(p2, snr_db=(30.0, 40.0))
+    p2_curve = engine.run_sweep(p2)
+    rows = []
+    for label, curve, use_analytic in (
+            ("otfs-p1-m1", otfs, False), ("ofdm-p1-m1", ofdm, False),
+            ("otfs-p2-m12-analytic", p2_curve, True),
+            ("otfs-p2-m12-simulated", p2_curve, False)):
+        # the slope over the curve's own SNR pair, the approximation from its paths
+        cfg = curve.config
+        rows.append((label, diversity.empirical_gd(curve, *cfg.snr_db,
+                                                   use_analytic=use_analytic),
+                     diversity.siso_gd_approx([p.m for p in cfg.paths])))
 
+    window = p2.snr_db
     print(f"# diversity report (window {window[0]:g}->{window[1]:g} dB; "
           f"ASSUMED P=2 powers {TABLE3_P2_OMEGAS})")
     print(f"# {MATCHED_FILTER_NOTE} (row otfs-p2-m12-analytic)")
     print("config,gd_empirical,gd_approx")
-    for r in reports:
-        print(f"{r.config_label},{r.gd_empirical:.4f},{r.gd_approx:.4f}")
+    for label, gd, approx in rows:
+        print(f"{label},{gd:.4f},{approx:.4f}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("config,gd_empirical,gd_approx\n")
-            for r in reports:
-                fh.write(f"{r.config_label},{r.gd_empirical:.6e},{r.gd_approx:.6e}\n")
+            for label, gd, approx in rows:
+                fh.write(f"{label},{gd:.6e},{approx:.6e}\n")
     return 0
 
 

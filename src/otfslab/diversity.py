@@ -3,17 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from .errors import ConfigError, DomainError
-
-
-@dataclass(frozen=True)
-class DiversityReport:
-    gd_empirical: float
-    snr_pair: tuple
-    gd_approx: float
-    config_label: str = ""
 
 
 def empirical_gd_values(ber1: float, ber2: float, snr1_db: float,

@@ -293,12 +293,12 @@ def _usable_cores() -> int:
 
 def _run_semianalytic(config: SweepConfig, progress=None) -> BerCurve:
     mod = analytic.mod_params(config.scheme, config.order)
-    trials = max(config.max_frames, 10_000)
+    trials = max(config.max_frames, analytic.SEMI_MC_MIN_TRIALS)
     es_n0s = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_db]
 
     def point(pt_idx: int) -> tuple:
         return analytic.semi_analytic_mc_ber(
-            es_n0s[pt_idx], config.paths, config.interferers, mod,
+            es_n0s[pt_idx], config.interferers, mod,
             make_stream(config.master_seed, pt_idx), trials)
 
     out = []

@@ -345,7 +345,7 @@ class TestSemiAnalyticMc:
     def test_zero_interferers_deterministic(self):
         mod = mod_params("qpsk")
         rng = make_stream(40, 0)
-        ber, se = semi_analytic_mc_ber(100.0, [], [], mod, rng, 10_000)
+        ber, se = semi_analytic_mc_ber(100.0, [], mod, rng, 10_000)
         expected = mod.A * specfun.q_function(math.sqrt(2 * mod.B * 100.0)) / 2
         assert ber == pytest.approx(expected, abs=0)
         assert se == 0.0
@@ -353,14 +353,14 @@ class TestSemiAnalyticMc:
     def test_sqrt_law_of_standard_error(self):
         mod = mod_params("qpsk")
         users = [[PathSpec(m=2, omega=0.3)]]
-        _, se1 = semi_analytic_mc_ber(10.0, [], users, mod, make_stream(41, 0), 40_000)
-        _, se2 = semi_analytic_mc_ber(10.0, [], users, mod, make_stream(41, 1), 160_000)
+        _, se1 = semi_analytic_mc_ber(10.0, users, mod, make_stream(41, 0), 40_000)
+        _, se2 = semi_analytic_mc_ber(10.0, users, mod, make_stream(41, 1), 160_000)
         assert se2 == pytest.approx(se1 / 2, rel=0.15)
 
     def test_trials_floor(self):
         mod = mod_params("qpsk")
         with pytest.raises(ConfigError):
-            semi_analytic_mc_ber(10.0, [], [], mod, make_stream(42, 0), 100)
+            semi_analytic_mc_ber(10.0, [], mod, make_stream(42, 0), 100)
 
     def test_matches_closed_form_within_three_se(self):
         mod = mod_params("qpsk")
@@ -368,7 +368,7 @@ class TestSemiAnalyticMc:
         g = 100.0
         approx = gamma_approx(*sinr_moments(g, users))
         exact = multiuser_ber(g, approx, mod)
-        ber, se = semi_analytic_mc_ber(g, [], users, mod, make_stream(43, 0), 300_000)
+        ber, se = semi_analytic_mc_ber(g, users, mod, make_stream(43, 0), 300_000)
         assert abs(ber - exact) < 3 * se
 
 
@@ -388,7 +388,7 @@ class TestSemiAnalyticMcMoments:
     def test_equals_numpy_mean_and_std(self, name, es_n0):
         users, trials = self.USERS[name], self.TRIALS
         mod = mod_params("qpsk")
-        ber, se = semi_analytic_mc_ber(es_n0, [], users, mod, make_stream(46, 0), trials)
+        ber, se = semi_analytic_mc_ber(es_n0, users, mod, make_stream(46, 0), trials)
         u = fading.sample_total_power([p for user in users for p in user],
                                       make_stream(46, 0), trials)
         u = special.erfc(np.sqrt(mod.B * (es_n0 / (1.0 + es_n0 * u))))
@@ -404,7 +404,7 @@ class TestSemiAnalyticMcMoments:
         mod = mod_params("qpsk")
         tracemalloc.start()
         try:
-            semi_analytic_mc_ber(10.0, [], users, mod, make_stream(47, 0), trials)
+            semi_analytic_mc_ber(10.0, users, mod, make_stream(47, 0), trials)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -443,7 +443,7 @@ class TestSemiAnalyticMcPowerDraw:
     def test_matches_complex_gain_route(self, users, es_n0):
         mod = mod_params("qpsk")
         for seed in range(3):
-            ber, se = semi_analytic_mc_ber(es_n0, [], users, mod,
+            ber, se = semi_analytic_mc_ber(es_n0, users, mod,
                                            make_stream(44, seed), 10_000)
             ref_ber, ref_se = complex_gain_semi_mc(es_n0, users, mod,
                                                    make_stream(44, seed), 10_000)
@@ -454,6 +454,6 @@ class TestSemiAnalyticMcPowerDraw:
         mod = mod_params("qpsk")
         users = figure_interferer_sets()[-1]
         a, b = make_stream(45, 0), make_stream(45, 0)
-        semi_analytic_mc_ber(10.0, [], users, mod, a, 10_000)
+        semi_analytic_mc_ber(10.0, users, mod, a, 10_000)
         fading.sample_nakagami_gains([p for u in users for p in u], b, 10_000)
         assert np.array_equal(a.random(8), b.random(8))

@@ -68,6 +68,22 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("seed = 1\nseed = 2\n")
 
+    def test_line_without_equals_is_rejected(self, tmp_path, capsys):
+        # a typo must not leave the default path in place
+        text = "path1 2,1.0\nscheme = qpsk\n"
+        with pytest.raises(ConfigError, match="malformed config line"):
+            parse_config_text(text)
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(text)
+        assert main(["analytic", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "malformed config line" in capsys.readouterr().err
+
+    def test_scheme_is_read_in_any_case(self):
+        upper = config_from_kv(parse_config_text("scheme = QPSK\n"))
+        assert upper == config_from_kv(parse_config_text("scheme = qpsk\n"))
+        assert (upper.scheme, upper.order) == ("qpsk", 4)
+
     def test_comments_ignored(self):
         kv = parse_config_text("# a comment\nseed = 3\n\n")
         assert kv == {"seed": "3"}
@@ -197,6 +213,16 @@ class TestCliCommands:
         text = out.read_text()
         assert "warning: interference-free preset" in text
         assert "ASSUMED interferer power" in text
+
+    @pytest.mark.parametrize("command", [
+        "analytic --mode simo", "compare --mode simo --frames-max 20000",
+        "sweep --mode simo --frames-max 20000", "figure 3 --frames-max 20000",
+        "figure 4 --frames-max 20000"])
+    def test_interference_free_note_once(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        assert main(command.split() + ["--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines.count(f"# {cli.INTERFERENCE_FREE_NOTE}") == 1
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["sweep", "--bogus-flag"]) == 2

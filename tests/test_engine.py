@@ -371,12 +371,12 @@ def semianalytic_configs():
 def serial_rows(cfg):
     """(ber, se, ci_low, ci_high, analytic_ber) per point from a plain loop."""
     mod = analytic.mod_params(cfg.scheme, cfg.order)
-    trials = max(cfg.max_frames, 10_000)
+    trials = max(cfg.max_frames, analytic.SEMI_MC_MIN_TRIALS)
     rows = []
     for pt_idx, snr_db in enumerate(cfg.snr_db):
         es_n0 = 10.0 ** (snr_db / 10.0)
         ber, se = analytic.semi_analytic_mc_ber(
-            es_n0, cfg.paths, cfg.interferers, mod,
+            es_n0, cfg.interferers, mod,
             make_stream(cfg.master_seed, pt_idx), trials)
         rows.append((ber, se, max(0.0, ber - 1.959963984540054 * se),
                      min(1.0, ber + 1.959963984540054 * se),
@@ -427,7 +427,7 @@ class TestSemiAnalyticMode:
         mod = analytic.mod_params("qpsk")
         for pt_idx, p in enumerate(curve.points):
             ber, se = analytic.semi_analytic_mc_ber(
-                10.0 ** (p.snr_db / 10.0), cfg.paths, cfg.interferers, mod,
+                10.0 ** (p.snr_db / 10.0), cfg.interferers, mod,
                 make_stream(9, pt_idx), 20_000)
             assert p.ber == ber
             assert p.se == se > 0.0

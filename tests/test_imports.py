@@ -41,7 +41,7 @@ before = scipy_modules()
 
 approx = analytic.gamma_approx(*analytic.sinr_moments(10.0, ((PathSpec(m=2, omega=0.3),),)))
 multiuser = analytic.multiuser_ber(10.0, approx, mod)
-semi = analytic.semi_analytic_mc_ber(10.0, (), ((PathSpec(m=2, omega=0.3),),), mod,
+semi = analytic.semi_analytic_mc_ber(10.0, ((PathSpec(m=2, omega=0.3),),), mod,
                                      otfslab.make_stream(7, 0), 20_000)
 print(json.dumps({"package": otfslab.__file__, "before": before,
                   "loaded": bool(scipy_modules()),
@@ -79,7 +79,7 @@ def test_monte_carlo_and_siso_routes_leave_scipy_unloaded(tmp_path):
     approx = analytic.gamma_approx(*analytic.sinr_moments(10.0, interferer))
     assert out["multiuser"] == analytic.multiuser_ber(10.0, approx, mod)
     assert out["semi"] == list(analytic.semi_analytic_mc_ber(
-        10.0, (), interferer, mod, otfslab.make_stream(7, 0), 20_000))
+        10.0, interferer, mod, otfslab.make_stream(7, 0), 20_000))
 
 
 def test_figure_3_with_scipy_first_loaded_by_its_point_pool():
