@@ -23,6 +23,7 @@ semi-analytic point.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -60,7 +61,8 @@ INTERFERENCE_FREE_NOTE = ("warning: interference-free preset; points use the "
 # or repeated key, or a line without '=', is a hard error.  An emitted CSV
 # reads as its '# cfg ' lines up to its header; "workers" is read and ignored.
 # _KEYS holds the format: key -> (field on SweepConfig, or "grid.<field>",
-# parser, writer), in manifest order; path<i> and interferer<i> follow.  An
+# parser, writer), in manifest order; path<n> and interferer<n> follow, any
+# n >= 1 written without leading zeros, read in increasing n.  An
 # unset key keeps SweepConfig's default (the grid: Table 2's).  "snr"
 # (start:step:stop, wins over snr_list) and "eva" are read, never written.
 # ---------------------------------------------------------------------------
@@ -125,9 +127,14 @@ _KEYS = {
     "ofdm_chain": ("ofdm_chain", str, str),
     "preset": ("preset", str, str),
 }
-_PATH_KEYS = tuple(f"path{i}" for i in range(1, 33))
-_INTERFERER_KEYS = tuple(f"interferer{i}" for i in range(1, 33))
-_KNOWN_KEYS = {*_KEYS, "snr", "eva", "workers", *_PATH_KEYS, *_INTERFERER_KEYS}
+_KNOWN_KEYS = {*_KEYS, "snr", "eva", "workers"}
+_NUMBERED_KEY = re.compile(r"(path|interferer)([1-9][0-9]*)")
+
+
+def _numbered(kv: dict, prefix: str) -> list:
+    """The values of the keys prefix<n> in kv, in increasing n."""
+    keys = [m for m in map(_NUMBERED_KEY.fullmatch, kv) if m and m[1] == prefix]
+    return [kv[m[0]] for m in sorted(keys, key=lambda m: int(m[2]))]
 
 
 def parse_config_text(text: str) -> dict:
@@ -144,7 +151,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"malformed config line: {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KNOWN_KEYS and not _NUMBERED_KEY.fullmatch(key):
             raise ConfigError(f"unknown config key {key!r}")
         if key in kv:
             raise ConfigError(f"duplicate config key {key!r}")
@@ -171,7 +178,7 @@ def config_from_kv(kv: dict) -> SweepConfig:
         fields["snr_db"] = _parse_snr(kv["snr"])
     if fields.get("scheme") == "qpsk":
         fields.setdefault("order", 4)
-    paths = tuple(_parse_path(kv[key]) for key in _PATH_KEYS if key in kv)
+    paths = tuple(map(_parse_path, _numbered(kv, "path")))
     if "eva" in kv:
         if paths:
             raise ConfigError("give either explicit paths or an eva directive, not both")
@@ -185,8 +192,8 @@ def config_from_kv(kv: dict) -> SweepConfig:
                                          make_stream(seed, 0xE7A)))
     if paths:
         fields["paths"] = paths
-    interferers = tuple(tuple(_parse_path(chunk) for chunk in kv[key].split(";"))
-                        for key in _INTERFERER_KEYS if key in kv)
+    interferers = tuple(tuple(_parse_path(chunk) for chunk in user.split(";"))
+                        for user in _numbered(kv, "interferer"))
     if interferers:
         fields["interferers"] = interferers
     return SweepConfig(**fields)
@@ -378,8 +385,12 @@ def _apply_overrides(cfg: SweepConfig, args) -> SweepConfig:
 def _load_config(args) -> SweepConfig:
     kv = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            kv = parse_config_text(fh.read())
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read {args.config}: {e}") from e
+        kv = parse_config_text(text)
     return _apply_overrides(config_from_kv(kv), args)
 
 

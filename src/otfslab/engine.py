@@ -212,47 +212,32 @@ def run_sweep(config: SweepConfig, progress=None) -> BerCurve:
     return _run_waveform((config,), progress)[0]
 
 
-def _detector(config: SweepConfig, constellation: Constellation,
-              hamming: np.ndarray):
-    """The chain's kernel with its set-up done once:
-    ``f(gains, sym_idx, noise) -> (errors, errors_sq)`` for one batch.
-
-    Every chain is its path operators fed to ``kernels.matrix_frame_errors``.
-    The frame's candidates are enumerated only where that kernel reads them,
-    when the operators leave one ``kernels.independent_blocks`` block of more
-    than one symbol.  A chain whose operators are all diagonal (CP-OFDM
-    always, one l = k = kappa = 0 path otherwise) is detected symbol by
-    symbol, and one that splits into several blocks (integer delays and
-    Dopplers) block by block, so the ML capacity bounds its largest block,
-    not its frame."""
-    points = constellation.points
-    ops = np.stack([_path_operator(spec, config) for spec in config.paths])
-    cand_idx = cand_pts = None
-    if not kernels.symbol_wise(ops) and len(kernels.independent_blocks(ops)) == 1:
-        cand_idx, cand_pts = modem.enumerate_candidates(constellation,
-                                                        config.grid.frame_size)
-    return lambda gains, sym_idx, noise: kernels.matrix_frame_errors(
-        ops, gains, sym_idx, noise, points, cand_idx, cand_pts, hamming)
-
-
 def _run_waveform(configs: tuple, progress=None) -> tuple:
     """One curve per config (the configs differ only in their chain), each
     equal to a sweep of its own: every (seed, point, batch) is drawn once and
-    fed, in config order, to each chain still short of its stop rule."""
+    fed, in config order, to each chain still short of its stop rule.
+
+    Every chain is its path operators, stacked once, fed batch by batch to
+    ``kernels.matrix_frame_errors``, which picks the search from the
+    operators' structure (symbol-wise, or one search per independent block)
+    and builds the candidates it reads; the ML capacity bounds the chain's
+    largest block, not its frame."""
     config = configs[0]
     mn = config.grid.frame_size
     constellation = modem.make_constellation(config.scheme, config.order)
     mod = analytic.mod_params(config.scheme, config.order)
     bps = constellation.bits_per_symbol
+    points = constellation.points
     hamming = _hamming_table(constellation)
-    detectors = [_detector(c, constellation, hamming) for c in configs]
+    chains = [np.stack([_path_operator(spec, c) for spec in c.paths])
+              for c in configs]
 
     rows = [[] for _ in configs]
     for pt_idx, snr_db in enumerate(config.snr_db):
         es_n0 = 10.0 ** (snr_db / 10.0)
         sigma = math.sqrt(1.0 / es_n0)
         tallies = [[0, 0, 0] for _ in configs]     # errors, errors_sq, frames
-        live = list(zip(detectors, tallies))       # budgets are >= 1
+        live = list(zip(chains, tallies))          # budgets are >= 1
         batch_idx = 0
         while live:
             # live chains have seen the same batches, so share the batch size
@@ -262,14 +247,15 @@ def _run_waveform(configs: tuple, progress=None) -> tuple:
             sym_idx = rng.integers(0, constellation.order, (nf, mn))
             noise = (rng.standard_normal((nf, mn))
                      + 1j * rng.standard_normal((nf, mn))) * (sigma / math.sqrt(2.0))
-            for detect, t in live:
-                e, e_sq = detect(gains, sym_idx, noise)
+            for ops, t in live:
+                e, e_sq = kernels.matrix_frame_errors(
+                    ops, gains, sym_idx, noise, points, None, None, hamming)
                 t[0] += e
                 t[1] += e_sq
                 t[2] += nf
                 if progress is not None:
                     progress(pt_idx, snr_db, t[2], t[0])
-            live = [(detect, t) for detect, t in live
+            live = [(ops, t) for ops, t in live
                     if t[2] < config.max_frames and t[0] < config.target_bit_errors]
             batch_idx += 1
         for c, row, (errors, errors_sq, frames) in zip(configs, rows, tallies):

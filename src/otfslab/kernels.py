@@ -133,7 +133,7 @@ def symbol_wise(A_ops) -> bool:
     """True when ``matrix_frame_errors`` detects frames over these path
     operators symbol by symbol: no operator links two symbols, i.e. every
     ``independent_blocks`` block has one symbol and every frame's channel is
-    diagonal.  Such batches read no candidate table."""
+    diagonal.  Such batches build no candidate table."""
     links = _support(A_ops)
     np.fill_diagonal(links, False)
     return not links.any()
@@ -161,34 +161,28 @@ def matrix_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
     """(bit errors, sum of squared per-frame errors) over a batch of frames.
 
     A_ops (P, MN, MN) path operators; gains (F, P); sym_idx (F, MN) indices
-    into points; noise (F, MN); cand_idx / cand_pts (C, MN) the candidate
-    index and symbol vectors of the whole frame; hamming (order, order) bit
-    distances.
+    into points; noise (F, MN); hamming (order, order) bit distances.
+    cand_idx and cand_pts are not read and may be None: each block's
+    candidates are built here.
 
     Exact ML with ``ml_detect``'s tie rule, by ``independent_blocks`` (module
     docstring):
 
     - every block one symbol (``symbol_wise``, checked first): the batch
       goes to ``diag_frame_errors`` with ``phi = diag(A_p)`` and unit scale;
-    - one block: the joint search over the C given candidates;
-    - several blocks: one search per block over the lexicographic table of
-      its symbols (``modem.candidate_indices``), which raises
-      ``CapacityError`` when the largest block has too many candidates.
-
-    Only the one-block route reads cand_idx and cand_pts; elsewhere they may
-    be None.
+    - otherwise one search per block over the lexicographic table of its
+      symbols (``modem.candidate_indices``), one block being the joint
+      search; building the tables raises ``CapacityError`` when the largest
+      block has too many candidates.
     """
     if symbol_wise(A_ops):
         return diag_frame_errors(np.diagonal(A_ops, axis1=1, axis2=2), 1.0,
                                  gains, sym_idx, noise, points, hamming)
     blocks = independent_blocks(A_ops)
-    if len(blocks) == 1:
-        tables = [(cand_idx, cand_pts)]
-    else:
-        tables = []
-        for b in blocks:
-            idx = modem.candidate_indices(len(points), len(b))
-            tables.append((idx, points[idx]))
+    tables = []
+    for b in blocks:
+        idx = modem.candidate_indices(len(points), len(b))
+        tables.append((idx, points[idx]))
     return _block_frame_errors(A_ops, blocks, tables, gains, sym_idx, noise,
                                points, hamming)
 

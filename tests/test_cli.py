@@ -52,6 +52,25 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match="malformed path spec"):
             config_from_kv({"path1": text})
 
+    def test_round_trip_beyond_32_paths_and_interferers(self):
+        # numbered keys have no upper bound and are read in numeric order
+        paths = tuple(PathSpec(m=1, omega=1 / 33, l=i % 8, k=i // 8 % 8)
+                      for i in range(33))
+        users = tuple((PathSpec(m=2, omega=0.001 * (i + 1)),) for i in range(33))
+        cfg = SweepConfig(grid=OtfsGrid(M=8, N=8), paths=paths,
+                          mode="simo-semianalytic", interferers=users)
+        kv = config_to_kv(cfg)
+        assert "path33" in kv and "interferer33" in kv
+        back = config_from_kv(parse_config_text(
+            "\n".join(f"{k} = {v}" for k, v in kv.items())))
+        assert back == cfg
+
+    @pytest.mark.parametrize("key", ["path0", "path01", "pathx", "path", "path1a",
+                                     "interferer0", "interferer007"])
+    def test_malformed_numbered_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config_text(f"{key} = 2,1.0\n")
+
     def test_manifest_with_a_workers_line_loads(self):
         # manifests written while the key configured a worker count
         text = ("# cfg grid_m = 2\n# cfg seed = 7\n# cfg workers = 1\n"
@@ -231,6 +250,17 @@ class TestCliCommands:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("grid_mm = 2\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "run.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        elif kind == "binary":
+            cfg.write_bytes(b"\xff\xfe\x00grid_m = 2\n")
+        assert main(["sweep", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "config error: cannot read" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["grid_m = two", "snr = 0:x:10",
                                       "eva = 2,abc,30", "eva = 2,3e9",

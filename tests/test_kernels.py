@@ -330,7 +330,7 @@ def test_only_one_diagonal_operator_takes_the_symbol_wise_route(
         monkeypatch, ops, route):
     # every operator diagonal, however many paths, takes the symbol-wise
     # route; operators that split the symbols take one search per block, and
-    # one block the search over the given candidates
+    # one block the search over the full enumeration
     _, gains, sym_idx, noise, points, cand_idx, cand_pts, hamming = make_batch(
         "otfs-one-path-bpsk", 3, 0.3, 256)
     # distinct phases per path keep the channel of two paths non-singular
@@ -346,7 +346,7 @@ def test_only_one_diagonal_operator_takes_the_symbol_wise_route(
     def block_spy(A_ops, parts, tables, *args):
         calls.append("blocks" if len(parts) > 1 else "one block")
         if len(parts) == 1:
-            assert tables == [(cand_idx, cand_pts)]
+            assert np.array_equal(tables, [(cand_idx, cand_pts)])
         return blocks(A_ops, parts, tables, *args)
 
     monkeypatch.setattr(kernels, "diag_frame_errors", diag_spy)
@@ -354,6 +354,19 @@ def test_only_one_diagonal_operator_takes_the_symbol_wise_route(
     assert kernels.matrix_frame_errors(*batch) == direct_metric_errors(*batch)
     assert calls == [route]
     assert kernels.symbol_wise(ops) == (route == "diagonal")
+
+
+@pytest.mark.parametrize("case", ["otfs-fractional-doppler", "otfs-two-path-qpsk",
+                                  "otfs-one-path-bpsk"])
+def test_kernel_reads_no_caller_table(case):
+    # one block, several blocks and symbol-wise: the kernel builds every
+    # block's candidates itself
+    batch = make_batch(case, 5, 0.3, 256)
+    ops, gains, sym_idx, noise, points, _, _, hamming = batch
+    got = kernels.matrix_frame_errors(ops, gains, sym_idx, noise, points,
+                                      None, None, hamming)
+    assert got[0] > 0
+    assert got == direct_metric_errors(*batch)
 
 
 def test_block_route_peak_allocation_on_a_figure2_batch():
