@@ -67,7 +67,10 @@ def mod_params(scheme: str, order: int | None = None) -> ModErrorParams:
     if order is None or order < 2 or 2 ** int(math.log2(order)) != order:
         raise ConfigError(f"scheme {scheme!r} needs a power-of-two order, got {order}")
     if scheme in ("psk", "m-psk", "mpsk", "depsk", "m-depsk"):
-        return ModErrorParams(A=2.0, B=math.sin(math.pi / order) ** 2, order=order)
+        # 2-PSK is BPSK, one neighbour per point; differential encoding
+        # doubles the SER, so 2-DEPSK keeps A = 2
+        A = 1.0 if order == 2 and scheme in ("psk", "m-psk", "mpsk") else 2.0
+        return ModErrorParams(A=A, B=math.sin(math.pi / order) ** 2, order=order)
     if scheme in ("dpsk", "m-dpsk"):
         return ModErrorParams(A=2.0, B=math.sin(math.pi / (2 * order)) ** 2, order=order)
     if scheme in ("fsk", "m-fsk"):

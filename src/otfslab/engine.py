@@ -46,7 +46,7 @@ class SweepConfig:
     waveform: str = "otfs"              # "otfs" | "ofdm"
     mode: str = "siso-waveform"         # "siso-waveform" | "simo-semianalytic"
     interferers: tuple = ()             # per-user tuples of PathSpec (simo mode)
-    ofdm_chain: str = "cp"              # "cp" (conventional) | "shared" (CP-free)
+    ofdm_chain: str = "cp"              # "cp" only: OFDM is always CP-OFDM
     preset: str = "custom"
 
     def __post_init__(self):
@@ -56,8 +56,9 @@ class SweepConfig:
             raise ConfigError(f"unknown waveform {self.waveform!r}")
         if self.mode not in ("siso-waveform", "simo-semianalytic"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.ofdm_chain not in ("cp", "shared"):
-            raise ConfigError(f"unknown ofdm chain {self.ofdm_chain!r}")
+        if self.ofdm_chain != "cp":
+            raise ConfigError(f"unknown ofdm chain {self.ofdm_chain!r}: "
+                              f"the only chain is 'cp'")
         if self.max_frames < 1 or self.target_bit_errors < 1:
             raise ConfigError("frame and error budgets must be positive")
         if not self.paths:
@@ -152,14 +153,15 @@ def _cp_ofdm_guard(grid: OtfsGrid) -> tuple:
 def _path_operator(spec: PathSpec, config: SweepConfig) -> np.ndarray:
     """Image of one unit-gain path on the detected symbol vector.
 
-    On the CP-OFDM chain the cyclic prefix makes each OFDM symbol see a
+    On OTFS it is the path's delay-Doppler image ``H_eff``.  On OFDM, which
+    is always CP-OFDM, the cyclic prefix makes each OFDM symbol see a
     circulant delay with one Doppler phase per symbol (quasi-static), so the
     path acts on the frame as kron(Delta_N^(k+kappa), Pi_M^l) and the
     per-symbol DFT diagonalises it: the operator is the diagonal of that
     image, scaled by the data symbols' amplitude sqrt(share).
     """
     grid = config.grid
-    if config.waveform == "ofdm" and config.ofdm_chain == "cp":
+    if config.waveform == "ofdm":
         l_cp, share = _cp_ofdm_guard(grid)
         if spec.l > l_cp:
             raise ConfigError(f"path delay {spec.l} exceeds the CP length {l_cp}")
@@ -168,9 +170,7 @@ def _path_operator(spec: PathSpec, config: SweepConfig) -> np.ndarray:
                     modem.cyclic_shift_matrix(grid.M, spec.l)), grid)
         return math.sqrt(share) * np.diag(np.diagonal(H))
     ch = modem.build_channel_matrix([(1.0, spec.l, spec.k, spec.kappa)], grid)
-    if config.waveform == "otfs":
-        return ch.H_eff
-    return modem.ofdm_effective_channel(ch.H, grid)
+    return ch.H_eff
 
 
 def analytic_reference(config: SweepConfig, es_n0: float,
@@ -182,7 +182,7 @@ def analytic_reference(config: SweepConfig, es_n0: float,
         if var == 0.0:
             return analytic.deterministic_ber(es_n0, mod)
         return analytic.multiuser_ber(es_n0, analytic.gamma_approx(mu, var), mod)
-    if config.waveform == "ofdm" and config.ofdm_chain == "cp":
+    if config.waveform == "ofdm":
         # matched-SNR reference: exact for single-path presets
         es_n0 = es_n0 * _cp_ofdm_guard(config.grid)[1]
     return analytic.siso_ber(es_n0, config.paths, mod)

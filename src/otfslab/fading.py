@@ -61,6 +61,8 @@ class PathSpec:
             raise DomainError(f"Nakagami shape must be >= 0.5, got {self.m}")
         if not (math.isfinite(self.omega) and self.omega > 0):
             raise DomainError(f"path power must be finite and positive, got {self.omega}")
+        if self.l < 0:
+            raise DomainError(f"delay bin must be >= 0, got {self.l}")
         if not (-0.5 <= self.kappa < 0.5):
             raise DomainError(f"fractional Doppler must lie in [-0.5, 0.5), got {self.kappa}")
 

@@ -2,9 +2,9 @@
 
 There is one backend, numpy.
 
-Frames of every chain (OTFS, CP-OFDM and the shared-H OFDM reference) see
-the effective channel ``H = sum_p h_p A_p``, with the path operators ``A_p``
-fixed per preset.  Exhaustive ML minimises the expanded metric
+Frames of both chains (OTFS and CP-OFDM) see the effective channel
+``H = sum_p h_p A_p``, with the path operators ``A_p`` fixed per preset.
+Exhaustive ML minimises the expanded metric
 
     ||y - H c||^2 = ||y||^2 - 2 Re sum_p h_p <y, A_p c>
                     + sum_{p,q} conj(h_p) h_q G[p,q,c]
@@ -46,10 +46,9 @@ Blocks of one symbol are the diagonal case (``symbol_wise``): then
 ``H = sum_p h_p A_p`` is diagonal for every gain draw, with
 ``lambda = sum_p h_p phi_p`` on its diagonal (``phi_p = diag(A_p)``), and
 each symbol's lowest minimising point index is the lexicographically first
-joint minimiser.  This holds for the conventional CP-OFDM chain always (the
-per-symbol DFT diagonalises each path's circulant delay) and for one path
-with l = k = kappa = 0, whose operator is the identity up to the DFT round
-trip.  The symbol-wise kernel works on ``(MN, frames)`` arrays, frames on
+joint minimiser.  This holds for the CP-OFDM chain always (the per-symbol
+DFT diagonalises each path's circulant delay) and for one path with
+l = k = kappa = 0, whose operator is the identity up to the DFT round trip.  The symbol-wise kernel works on ``(MN, frames)`` arrays, frames on
 the long contiguous axis, about ``_DIAG_BLOCK_SYMBOLS`` symbols at a time so
 the temporaries stay cache-resident.  It
 visits the constellation points in index order and keeps a running minimum

@@ -1,4 +1,4 @@
-"""Matrix-level OTFS transmitter/channel/receiver plus an OFDM reference.
+"""Matrix-level OTFS transmitter/channel/receiver and the OFDM per-symbol DFT.
 
 The frame is small enough (M*N complex symbols) that every transform is an
 explicit matrix: the delay operator is the MN-point cyclic shift, the Doppler
@@ -287,36 +287,7 @@ def ml_detect(y: np.ndarray, H_eff: np.ndarray,
 
 
 def ofdm_effective_channel(H: np.ndarray, grid: OtfsGrid) -> np.ndarray:
-    """(I_N kron F_M) H (I_N kron F_M^dagger): the CP-free OFDM image of H."""
+    """(I_N kron F_M) H (I_N kron F_M^dagger): H through the per-symbol DFT."""
     FM = _dft_unitary(grid.M)
     A = np.kron(np.eye(grid.N), FM)
     return A @ H @ A.conj().T
-
-
-def ofdm_link(frame: DdFrame, channel: ChannelMatrices, constellation: Constellation,
-              noise: np.ndarray, grid: OtfsGrid, noise_domain: str = "time") -> tuple:
-    """CP-free OFDM reference sharing the channel realization with OTFS.
-
-    Symbols are placed directly on the time-frequency grid, the effective
-    channel is (I_N kron F_M) H (I_N kron F_M^dagger), and detection is
-    frame-wise exhaustive ML under the same hypothesis cap.  noise_domain
-    "time" applies the receive-side DFT to the noise; "tf" injects it on
-    the time-frequency grid directly.  Returns (received vector, detected
-    index vector).
-    """
-    x = frame.vectorized
-    noise = np.asarray(noise)
-    if noise.shape != x.shape:
-        raise ConfigError(f"noise shape {noise.shape} != frame vector {x.shape}")
-    FM = _dft_unitary(grid.M)
-    A = np.kron(np.eye(grid.N), FM)
-    if noise_domain == "time":
-        w = A @ noise
-    elif noise_domain == "tf":
-        w = noise
-    else:
-        raise ConfigError(f"unknown noise domain {noise_domain!r}")
-    H_ofdm = ofdm_effective_channel(channel.H, grid)
-    y = H_ofdm @ x + w
-    detected = ml_detect(y, H_ofdm, constellation)
-    return y, detected

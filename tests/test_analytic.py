@@ -34,6 +34,12 @@ class TestModParams:
         p = mod_params("psk", 8)
         assert abs(p.B - math.sin(math.pi / 8) ** 2) < 1e-15
 
+    def test_two_psk_is_bpsk_but_two_depsk_doubles(self):
+        # one neighbour per point; differential encoding doubles the SER
+        for scheme in ("psk", "m-psk", "mpsk"):
+            assert mod_params(scheme, 2) == mod_params("bpsk")
+        assert (mod_params("depsk", 2).A, mod_params("depsk", 2).B) == (2.0, 1.0)
+
     def test_dbpsk(self):
         p = mod_params("dbpsk")
         assert (p.A, p.B) == (2.0, 0.5)

@@ -402,6 +402,43 @@ class TestCliCommands:
         assert [row[4] for row in parse_csv_rows(analytic_out)] == swept
         assert len(swept) == 3
 
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_an_ofdm_chain_other_than_cp_exits_2(self, tmp_path, capsys, command):
+        # OFDM is always CP-OFDM: a CP-free "shared" chain is no longer read
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("ofdm_chain = shared\n")
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]
+                    + fast_args()) == 2
+        err = capsys.readouterr().err
+        assert "config error: unknown ofdm chain 'shared'" in err
+        assert "the only chain is 'cp'" in err
+        assert not out.exists()
+
+    def test_negative_delay_bin_exits_2(self, tmp_path, capsys):
+        # the CP chain would roll a negative delay into a valid one
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("path1 = 1,1.0,-1\n")
+        out = tmp_path / "x.csv"
+        for waveform in ("ofdm", "otfs"):
+            assert main(["sweep", "--config", str(cfg), "--waveform", waveform,
+                         "--out", str(out)] + fast_args()) == 2
+            assert "delay bin must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_psk_columns_equal_bpsk(self, tmp_path):
+        # 2-PSK is BPSK: the same frames and the same closed form
+        columns = []
+        for scheme in ("scheme = psk\norder = 2", "scheme = bpsk"):
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(scheme + "\nsnr = 0:10:20\n")
+            out = tmp_path / "c.csv"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                         "--frames-max", "256"]) == 0
+            columns.append(parse_csv_rows(out))
+        assert columns[0] == columns[1]
+        assert len(columns[0]) == 3
+
     def test_python_m_otfslab_reports_version(self):
         src = os.path.dirname(os.path.dirname(otfslab.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -276,14 +276,6 @@ class TestBatchAccumulation:
 
 
 class TestPairedComparison:
-    def test_shared_chain_flat_channel_ties_exactly(self):
-        # CP-free OFDM over a single flat tap is the same scalar channel as
-        # OTFS, so paired runs must produce identical error counts
-        cfg = small_config(ofdm_chain="shared", snr_db=(6.0,),
-                          max_frames=8192, target_bit_errors=10 ** 9)
-        otfs, ofdm = engine.paired_comparison(cfg)
-        assert otfs.points[0].bit_errors == ofdm.points[0].bit_errors
-
     def test_cp_chain_penalizes_ofdm(self):
         cfg = small_config(snr_db=(10.0,), max_frames=200_000,
                           target_bit_errors=800)
@@ -295,7 +287,7 @@ class TestPairedComparison:
         (10 ** 9, 200),      # both stop at the frame cap, the last batch partial
         (600, 1000),         # some points stop on errors, some at the cap
     ])
-    @pytest.mark.parametrize("chain", ["cp", "shared"])
+    @pytest.mark.parametrize("chain", ["cp"])
     def test_one_pass_equals_two_sweeps(self, monkeypatch, chain, target, cap):
         monkeypatch.setattr(engine, "BATCH_FRAMES", 64)
         cfg = small_config(scheme="qpsk", order=4, paths=TWO_PATHS,
@@ -310,7 +302,7 @@ class TestPairedComparison:
         else:
             assert frames[0] != frames[1]
 
-    @pytest.mark.parametrize("chain", ["cp", "shared"])
+    @pytest.mark.parametrize("chain", ["cp"])
     def test_paired_run_draws_each_batch_once(self, monkeypatch, chain):
         monkeypatch.setattr(engine, "BATCH_FRAMES", 64)
         cfg = small_config(scheme="qpsk", order=4, paths=TWO_PATHS,

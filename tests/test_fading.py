@@ -22,6 +22,11 @@ class TestPathSpec:
         with pytest.raises(DomainError):
             PathSpec(m=1, omega=-2.0)
 
+    def test_rejects_negative_delay(self):
+        PathSpec(m=1, omega=1.0, l=0)
+        with pytest.raises(DomainError, match="delay bin"):
+            PathSpec(m=1, omega=1.0, l=-1)
+
     def test_fractional_doppler_range(self):
         PathSpec(m=1, omega=1.0, kappa=-0.5)
         with pytest.raises(DomainError):

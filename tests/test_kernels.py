@@ -1,9 +1,9 @@
 """Batched kernels against per-frame references.
 
 The matrix kernel is checked against the per-frame modem chain
-(``otfs_link`` / ``ofdm_link`` + ``ml_detect``) one frame at a time, and
-against a direct-metric reference ``argmin ||y - H_f c||^2`` on whole
-batches; its counts must not depend on how a batch is split into chunks.
+(``otfs_link`` + ``ml_detect``) one frame at a time, and against a
+direct-metric reference ``argmin ||y - H_f c||^2`` on whole batches; its
+counts must not depend on how a batch is split into chunks.
 
 The matrix kernel detects each independent block of symbols on its own.
 Diagonal operators (blocks of one symbol) take the symbol-wise route; the
@@ -38,7 +38,10 @@ from otfslab.modem import DdFrame, OtfsGrid, make_constellation
 TWO_PATHS = (PathSpec(m=1, omega=2 / 3, l=0), PathSpec(m=2, omega=1 / 3, l=1))
 ONE_PATH = (PathSpec(m=1, omega=1.0),)
 
-# name -> (grid, scheme, paths, waveform); "ofdm" is the CP-free shared-H chain
+# name -> (grid, scheme, paths, waveform).  The "ofdm-shared" cases take the
+# per-symbol DFT image of the frame-cyclic H that OTFS sees (the H shared
+# with OTFS): dense operators that no sweep chain builds, kept to test the
+# block kernel beyond the delay-Doppler ones.
 CASES = {
     "otfs-two-path-qpsk": (OtfsGrid(M=2, N=2), "qpsk", TWO_PATHS, "otfs"),
     "otfs-fractional-doppler": (OtfsGrid(M=4, N=2), "bpsk",
@@ -120,12 +123,11 @@ def test_matrix_kernel_matches_per_frame_chain(case, sigma):
         channel = modem.build_channel_matrix(
             [(g, s.l, s.k, s.kappa) for g, s in zip(gains[f], paths)], grid)
         frame = DdFrame.from_vector(points[sym_idx[f]], grid)
-        if waveform == "otfs":
-            y = modem.otfs_link(frame, channel, noise[f], grid, noise_domain="dd")
-            det = modem.ml_detect(y, channel.H_eff, const)
-        else:
-            _, det = modem.ofdm_link(frame, channel, const, noise[f], grid,
-                                     noise_domain="tf")
+        if waveform == "ofdm":
+            H_ofdm = modem.ofdm_effective_channel(channel.H, grid)
+            channel = modem.ChannelMatrices(H=H_ofdm, H_eff=H_ofdm)
+        y = modem.otfs_link(frame, channel, noise[f], grid, noise_domain="dd")
+        det = modem.ml_detect(y, channel.H_eff, const)
         want.append(int(hamming[det, sym_idx[f]].sum()))
     assert got == want
     if sigma == 1.0:

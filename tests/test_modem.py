@@ -10,7 +10,7 @@ from otfslab.errors import CapacityError, ConfigError
 from otfslab.modem import (ChannelMatrices, DdFrame, OtfsGrid,
                            build_channel_matrix,
                            cyclic_shift_matrix, doppler_matrix,
-                           make_constellation, ml_detect, ofdm_link, otfs_link)
+                           make_constellation, ml_detect, otfs_link)
 
 RNG = np.random.default_rng(42)
 
@@ -191,32 +191,6 @@ class TestMlDetect:
 
 
 class TestOfdmLink:
-    def test_flat_channel_identical_error_events(self):
-        # both chains collapse to the same scalar channel, so identical
-        # received-domain noise must give identical decisions
-        grid = OtfsGrid(M=2, N=2)
-        const = make_constellation("bpsk")
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            h = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2)
-            ch = build_channel_matrix([(h, 0, 0, 0.0)], grid)
-            idx = rng.integers(0, 2, 4)
-            frame = DdFrame.from_vector(const.points[idx], grid)
-            w = 0.7 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-            y_otfs = otfs_link(frame, ch, w, grid, noise_domain="dd")
-            det_otfs = ml_detect(y_otfs, ch.H_eff, const)
-            _, det_ofdm = ofdm_link(frame, ch, const, w, grid, noise_domain="tf")
-            assert np.array_equal(det_otfs != idx, det_ofdm != idx)
-
-    def test_noiseless_recovery(self):
-        grid = OtfsGrid(M=2, N=2)
-        const = make_constellation("qpsk")
-        ch = build_channel_matrix([(0.8, 0, 0, 0.0), (0.3j, 1, 0, 0.0)], grid)
-        idx = np.array([2, 0, 3, 1])
-        frame = DdFrame.from_vector(const.points[idx], grid)
-        _, det = ofdm_link(frame, ch, const, np.zeros(4, complex), grid)
-        assert np.array_equal(det, idx)
-
     def test_two_path_effective_channels_differ_structurally(self):
         grid = OtfsGrid(M=2, N=2)
         ch = build_channel_matrix([(0.8, 0, 0, 0.0), (0.6, 1, 0, 0.0)], grid)
@@ -224,15 +198,12 @@ class TestOfdmLink:
         assert not np.allclose(H_ofdm, ch.H_eff, atol=1e-6)
 
     def test_unknown_noise_domain_rejected(self):
-        # "dd" names the OTFS receive domain, not the OFDM one
+        # otfs_link reads "time" or "dd"; "tf" is no OTFS receive domain
         grid = OtfsGrid(M=2, N=2)
-        const = make_constellation("bpsk")
         ch = build_channel_matrix([(1.0, 0, 0, 0.0)], grid)
         frame, w = random_frame(grid), np.zeros(4, complex)
         with pytest.raises(ConfigError):
             otfs_link(frame, ch, w, grid, noise_domain="tf")
-        with pytest.raises(ConfigError):
-            ofdm_link(frame, ch, const, w, grid, noise_domain="dd")
 
 
 class TestConstellations:
