@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from . import analytic, diversity, engine, fading, kernels, modem, specfun
 from .engine import BerCurve, BerPoint, SweepConfig, run_sweep, wilson_interval
-from .errors import (CapacityError, ConfigError, DomainError,
-                     NoInterferenceSignal, NumericError)
+from .errors import CapacityError, ConfigError, DomainError, NumericError
 from .fading import PathSpec, make_stream
 from .modem import Constellation, DdFrame, OtfsGrid, make_constellation
 
@@ -19,7 +18,7 @@ __all__ = [
     "__version__", "analytic", "diversity", "engine", "fading", "kernels",
     "modem", "specfun", "BerCurve", "BerPoint", "SweepConfig", "run_sweep",
     "wilson_interval", "CapacityError", "ConfigError",
-    "DomainError", "NoInterferenceSignal", "NumericError",
+    "DomainError", "NumericError",
     "PathSpec", "make_stream", "Constellation",
     "DdFrame", "OtfsGrid", "make_constellation",
 ]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import ConfigError, DomainError, NoInterferenceSignal, NumericError
+from .errors import ConfigError, DomainError, NumericError
 from .fading import sample_total_power
 # not called here, but kept: traced benchmark runs wrap analytic.sample_nakagami_gains
 from .fading import sample_nakagami_gains  # noqa: F401
@@ -195,7 +195,7 @@ def gamma_approx(mu_S: float, sigma2_S: float) -> SinrGammaApprox:
     if mu_S < 0 or sigma2_S < 0:
         raise DomainError("moments must be nonnegative")
     if sigma2_S == 0.0:
-        raise NoInterferenceSignal(
+        raise DomainError(
             "zero interference variance: use the deterministic-SINR path")
     return SinrGammaApprox(m_z=mu_S ** 2 / sigma2_S, omega_z=sigma2_S / mu_S)
 
@@ -212,13 +212,13 @@ def multiuser_ber(es_n0: float, approx: SinrGammaApprox,
     b = B, to its relative tolerance specfun.GAMMA_AVERAGE_RTOL, for any
     m_z > 0, omega_z > 0 and Es/N0 > 0; its docstring gives the domain
     held against the mpmath oracle.  The semi-analytic Monte Carlo
-    estimates the same quantity.  Raises NoInterferenceSignal for a
+    estimates the same quantity.  Raises DomainError for a
     degenerate model, and NumericError when the average does not converge,
     falls below the double range, or leaves [0, A/2] by more than the
     tolerance (an overshoot inside it reads A/2).
     """
     if approx.m_z <= 0 or approx.omega_z <= 0:
-        raise NoInterferenceSignal("degenerate interference model")
+        raise DomainError("degenerate interference model")
     A = mod.A
     ser = 0.5 * A * specfun.erfc_gamma_average(
         es_n0 / approx.omega_z, approx.m_z, b=mod.B, shift=1.0 / approx.omega_z)

@@ -12,17 +12,21 @@ Exit codes: 0 success, 2 configuration error, 3 capacity error,
 4 numeric non-convergence.
 
 Configs are read and written through one table of keys, ``_KEYS``; a key a
-config leaves unset takes SweepConfig's default.  Every CSV embeds its
-resolved configuration as ``# cfg key = value`` comment lines; feeding the
-CSV back through ``--config`` reproduces the data rows byte for byte; their
-``workers`` line, if any, is ignored.  ``--verbose`` prints a line per
-running chain every ten batches (OTFS first), and a line of trials per
+config leaves unset takes SweepConfig's default.  A flag is a key written
+over the config file's (``_FLAG_KEYS``): ``--seed N`` is ``seed = N``.
+Every CSV embeds a resolved config as ``# cfg key = value`` lines
+(``workers`` is ignored on reading).  Fed back through ``--config``, a
+``sweep``, ``compare`` or ``analytic`` CSV reproduces its data rows byte for
+byte; a ``figure`` CSV embeds only its first preset, whose rows ``compare``
+(figures 1, 2) or ``sweep`` (3, 4) reproduce.  ``--verbose`` prints a line
+per running chain every ten batches (OTFS first), and a line of trials per
 semi-analytic point.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import replace
@@ -75,35 +79,27 @@ def _parse_path(text: str) -> PathSpec:
     try:
         # an integer shape stays int, so its manifests read back unchanged
         m = int(parts[0]) if parts[0].lstrip("+-").isdigit() else float(parts[0])
-        omega = float(parts[1])
-        l = int(parts[2]) if len(parts) > 2 else 0
-        k = int(parts[3]) if len(parts) > 3 else 0
-        kappa = float(parts[4]) if len(parts) > 4 else 0.0
+        # omega, l, k, kappa; a value outside PathSpec's domain reads here too
+        return PathSpec(m, *(parse(v) for parse, v in
+                             zip((float, int, int, float), parts[1:])))
     except ValueError as e:
         raise ConfigError(f"malformed path spec {text!r}: {e}") from e
-    return PathSpec(m=m, omega=omega, l=l, k=k, kappa=kappa)
 
 
 def _fmt_path(p: PathSpec) -> str:
     return f"{p.m},{p.omega!r},{p.l},{p.k},{p.kappa!r}"
 
 
-def _parse_snr_list(text: str) -> tuple:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as e:
-        raise ConfigError(f"malformed snr list {text!r}: {e}") from e
-
-
 def _parse_snr(text: str) -> tuple:
+    """SNR points in dB: a comma-separated list, or start:step:stop with
+    finite bounds (an infinite one would never end the expansion)."""
     if ":" not in text:
-        return _parse_snr_list(text)
-    try:
-        start, step, stop = (float(v) for v in text.split(":"))
-    except ValueError as e:
-        raise ConfigError(f"malformed snr range {text!r}: {e}") from e
+        return tuple(float(v) for v in text.split(","))
+    start, step, stop = (float(v) for v in text.split(":"))
+    if not all(map(math.isfinite, (start, step, stop))):
+        raise ValueError("snr range bounds must be finite")
     if step <= 0:
-        raise ConfigError(f"snr step must be positive, got {step}")
+        raise ValueError(f"snr step must be positive, got {step}")
     out = []
     v = start
     while v <= stop + 1e-9:
@@ -118,7 +114,7 @@ _KEYS = {
     "delta_f_hz": ("grid.delta_f", float, repr),
     "scheme": ("scheme", str.lower, str),
     "order": ("order", int, str),
-    "snr_list": ("snr_db", _parse_snr_list, lambda snr: ",".join(map(repr, snr))),
+    "snr_list": ("snr_db", _parse_snr, lambda snr: ",".join(map(repr, snr))),
     "max_frames": ("max_frames", int, str),
     "target_errors": ("target_bit_errors", int, str),
     "seed": ("master_seed", int, str),
@@ -159,44 +155,42 @@ def parse_config_text(text: str) -> dict:
     return kv
 
 
+def _parse_eva(text: str) -> tuple:
+    P, fc_hz, speed_mps = text.split(",")
+    return int(P), float(fc_hz), float(speed_mps)
+
+
+def _read(kv: dict, key: str, parse):
+    try:
+        return parse(kv[key])
+    except ValueError as e:
+        raise ConfigError(f"malformed {key} {kv[key]!r}: {e}") from e
+
+
 def config_from_kv(kv: dict) -> SweepConfig:
     """The SweepConfig the keys set; the keys left unset keep its defaults."""
     fields, grid = {}, {}
     for key, (field, parse, _) in _KEYS.items():
-        if key not in kv:
-            continue
-        try:
-            value = parse(kv[key])
-        except ValueError as e:
-            raise ConfigError(f"malformed {key} {kv[key]!r}: {e}") from e
-        if field.startswith("grid."):
-            grid[field[len("grid."):]] = value
-        else:
-            fields[field] = value
+        if key in kv:
+            prefix, _, name = field.rpartition(".")
+            (grid if prefix else fields)[name] = _read(kv, key, parse)
     fields["grid"] = replace(_table2_grid(), **grid)
     if "snr" in kv:
-        fields["snr_db"] = _parse_snr(kv["snr"])
+        fields["snr_db"] = _read(kv, "snr", _parse_snr)
     if fields.get("scheme") == "qpsk":
         fields.setdefault("order", 4)
     paths = tuple(map(_parse_path, _numbered(kv, "path")))
-    if "eva" in kv:
-        if paths:
-            raise ConfigError("give either explicit paths or an eva directive, not both")
-        try:
-            P, fc_hz, speed_mps = kv["eva"].split(",")
-            P, fc_hz, speed_mps = int(P), float(fc_hz), float(speed_mps)
-        except ValueError as e:
-            raise ConfigError(f"malformed eva directive {kv['eva']!r}: {e}") from e
-        seed = fields.get("master_seed", SweepConfig.master_seed)
-        paths = tuple(eva_grid_placement(fields["grid"], fc_hz, speed_mps, P,
-                                         make_stream(seed, 0xE7A)))
-    if paths:
-        fields["paths"] = paths
+    if paths and "eva" in kv:
+        raise ConfigError("give either explicit paths or an eva directive, not both")
     interferers = tuple(tuple(_parse_path(chunk) for chunk in user.split(";"))
                         for user in _numbered(kv, "interferer"))
-    if interferers:
-        fields["interferers"] = interferers
-    return SweepConfig(**fields)
+    config = SweepConfig(**fields, paths=paths or SweepConfig.paths, interferers=interferers)
+    if "eva" in kv:
+        # the geometry is drawn from the seed and grid of a checked config
+        P, fc_hz, speed_mps = _read(kv, "eva", _parse_eva)
+        config = replace(config, paths=eva_grid_placement(
+            config.grid, fc_hz, speed_mps, P, make_stream(config.master_seed, 0xE7A)))
+    return config
 
 
 def config_to_kv(config: SweepConfig) -> dict:
@@ -364,22 +358,11 @@ def _progress_printer(stream, config: SweepConfig):
     return cb
 
 
-def _apply_overrides(cfg: SweepConfig, args) -> SweepConfig:
-    over = {}
-    if args.seed is not None:
-        over["master_seed"] = args.seed
-    if getattr(args, "snr", None):
-        over["snr_db"] = _parse_snr(args.snr)
-    if getattr(args, "frames_max", None) is not None:
-        over["max_frames"] = args.frames_max
-    if getattr(args, "target_errors", None) is not None:
-        over["target_bit_errors"] = args.target_errors
-    if getattr(args, "waveform", None):
-        over["waveform"] = args.waveform
-    if getattr(args, "mode", None):
-        over["mode"] = {"siso": "siso-waveform",
-                        "simo": "simo-semianalytic"}[args.mode]
-    return replace(cfg, **over) if over else cfg
+# the config key each flag given writes over the config file's; --mode
+# siso|simo names a mode by its prefix
+_FLAG_KEYS = {"seed": "seed", "snr": "snr", "frames_max": "max_frames",
+              "target_errors": "target_errors", "waveform": "waveform", "mode": "mode"}
+_MODE_FLAGS = {"siso": "siso-waveform", "simo": "simo-semianalytic"}
 
 
 def _load_config(args) -> SweepConfig:
@@ -391,7 +374,11 @@ def _load_config(args) -> SweepConfig:
         except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read {args.config}: {e}") from e
         kv = parse_config_text(text)
-    return _apply_overrides(config_from_kv(kv), args)
+    for flag, key in _FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            kv[key] = _MODE_FLAGS[value] if flag == "mode" else value
+    return config_from_kv(kv)
 
 
 def cmd_sweep(args) -> int:
@@ -500,13 +487,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_mc=True):
         p.add_argument("--config", help="config file or previously emitted CSV")
-        p.add_argument("--seed", type=int, default=None)
+        # each value is a config key's text, read by that key's parser
+        p.add_argument("--seed")
         p.add_argument("--out", default="curve.csv")
         p.add_argument("--snr", help="start:step:stop in dB")
         p.add_argument("--verbose", action="store_true")
         if with_mc:
-            p.add_argument("--frames-max", type=int, default=None)
-            p.add_argument("--target-errors", type=int, default=None)
+            p.add_argument("--frames-max")
+            p.add_argument("--target-errors")
             p.add_argument("--waveform", choices=["otfs", "ofdm"])
             p.add_argument("--mode", choices=["siso", "simo"])
 

@@ -35,6 +35,14 @@ BATCH_FRAMES = 8192
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One sweep, checked here and nowhere else, so that every route
+    accepts the same configs.  Construction raises ConfigError unless the
+    SNR points are finite and strictly increasing; waveform, mode and
+    ofdm_chain are known; the budgets are positive, the seed >= 0 and a
+    path is given; ``analytic.mod_params`` takes the scheme and order; and,
+    on the waveform route, each path's delay fits the grid: l <= MN - 1 on
+    OTFS, l <= L_cp = M - 1 on CP-OFDM."""
+
     grid: OtfsGrid
     scheme: str = "bpsk"
     order: int = 2
@@ -50,6 +58,8 @@ class SweepConfig:
     preset: str = "custom"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.snr_db)):
+            raise ConfigError(f"snr points must be finite, got {self.snr_db}")
         if list(self.snr_db) != sorted(set(self.snr_db)):
             raise ConfigError("snr points must be strictly increasing")
         if self.waveform not in ("otfs", "ofdm"):
@@ -61,8 +71,18 @@ class SweepConfig:
                               f"the only chain is 'cp'")
         if self.max_frames < 1 or self.target_bit_errors < 1:
             raise ConfigError("frame and error budgets must be positive")
+        if self.master_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
         if not self.paths:
             raise ConfigError("at least one desired path is required")
+        analytic.mod_params(self.scheme, self.order)
+        if self.mode == "siso-waveform":
+            limit, what = ((_cp_ofdm_guard(self.grid)[0], "the CP length")
+                           if self.waveform == "ofdm" else
+                           (self.grid.frame_size - 1, "the last delay bin"))
+            far = max(p.l for p in self.paths)
+            if far > limit:
+                raise ConfigError(f"path delay {far} exceeds {what} {limit}")
 
 
 @dataclass(frozen=True)
@@ -162,13 +182,10 @@ def _path_operator(spec: PathSpec, config: SweepConfig) -> np.ndarray:
     """
     grid = config.grid
     if config.waveform == "ofdm":
-        l_cp, share = _cp_ofdm_guard(grid)
-        if spec.l > l_cp:
-            raise ConfigError(f"path delay {spec.l} exceeds the CP length {l_cp}")
         H = modem.ofdm_effective_channel(
             np.kron(modem.doppler_matrix(grid.N, spec.k + spec.kappa),
                     modem.cyclic_shift_matrix(grid.M, spec.l)), grid)
-        return math.sqrt(share) * np.diag(np.diagonal(H))
+        return math.sqrt(_cp_ofdm_guard(grid)[1]) * np.diag(np.diagonal(H))
     ch = modem.build_channel_matrix([(1.0, spec.l, spec.k, spec.kappa)], grid)
     return ch.H_eff
 

@@ -35,9 +35,3 @@ class NumericError(OtfsLabError, RuntimeError):
         super().__init__(f"{message} (best estimate {estimate:.6e}, "
                          f"error bound {error_bound:.3e})")
 
-
-class NoInterferenceSignal(OtfsLabError):
-    """Raised when an interference model degenerates to the noise-only case.
-
-    Callers should fall back to the deterministic-SINR error formula.
-    """

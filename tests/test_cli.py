@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -425,6 +426,80 @@ class TestCliCommands:
                          "--out", str(out)] + fast_args()) == 2
             assert "delay bin must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep --seed -1", "compare --seed -1",
+                                         "analytic --seed -5", "figure 1 --seed -3",
+                                         "diversity --seed -1",
+                                         "sweep --mode simo --seed -1"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        assert main(command.split() + ["--out", str(out)]) == 2
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snr_list", ["-inf,0.0", "0.0,inf", "0.0,nan"])
+    @pytest.mark.parametrize("command", ["sweep", "compare", "analytic"])
+    def test_non_finite_snr_exits_2_before_a_draw(self, tmp_path, capsys,
+                                                  monkeypatch, snr_list, command):
+        def no_draw(*key):
+            raise AssertionError("a batch was drawn")
+        monkeypatch.setattr(engine, "make_stream", no_draw)
+        cfg = tmp_path / "snr.cfg"
+        cfg.write_text(f"snr_list = {snr_list}\n")
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: snr points must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_snr_range_bound_is_malformed(self):
+        # at an infinite bound the start:step:stop expansion never ends; an
+        # interval timer stops it within 0.2 s should it run
+        def stop(signum, frame):
+            raise AssertionError("the snr range expansion did not stop")
+        old = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        try:
+            for text in ("0:2:inf", "-inf:2:0", "0:inf:10", "0:2:nan"):
+                with pytest.raises(ConfigError, match="malformed snr"):
+                    config_from_kv({"snr": text})
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+
+    @pytest.mark.parametrize("lines", [
+        pytest.param("path1 = 1,1.0,4\n", id="otfs-l-MN"),
+        pytest.param("waveform = ofdm\npath1 = 1,1.0,2\n", id="cp-ofdm-l-M"),
+    ])
+    @pytest.mark.parametrize("command", ["analytic", "sweep"])
+    def test_path_the_grid_cannot_hold_exits_2(self, tmp_path, capsys, lines,
+                                               command):
+        # the closed form places no path on the grid, but reads the same config
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(lines)
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: path delay" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_path_outside_its_domain_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("path1 = 0.3,1.0\n")
+        assert main(["analytic", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert ("config error: malformed path spec '0.3,1.0': Nakagami shape "
+                "must be >= 0.5, got 0.3") in capsys.readouterr().err
+
+    def test_seed_flag_is_the_seed_key(self, tmp_path):
+        # an eva directive draws its geometry from the seed, flag or key
+        text = "grid_n = 8\neva = 2,30e9,40\n"
+        cfg = tmp_path / "eva.cfg"
+        cfg.write_text(text)
+        args = cli.build_parser().parse_args(["sweep", "--config", str(cfg),
+                                              "--seed", "5"])
+        flagged = cli._load_config(args)
+        keyed = config_from_kv(parse_config_text(text + "seed = 5\n"))
+        assert flagged == keyed
+        assert [(p.l, p.k) for p in flagged.paths] == [(0, 2), (1, 1)]
 
     def test_two_psk_columns_equal_bpsk(self, tmp_path):
         # 2-PSK is BPSK: the same frames and the same closed form

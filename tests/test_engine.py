@@ -342,11 +342,10 @@ class TestPairedComparison:
         assert paired == sorted(alone[0] + alone[1], key=lambda a: a[2])
 
     def test_two_path_delay_exceeding_cp_rejected(self):
-        cfg = small_config(paths=(PathSpec(m=1, omega=0.5, l=0),
-                                  PathSpec(m=2, omega=0.5, l=2)),
-                           waveform="ofdm")
         with pytest.raises(ConfigError):
-            run_sweep(cfg)
+            small_config(paths=(PathSpec(m=1, omega=0.5, l=0),
+                                PathSpec(m=2, omega=0.5, l=2)),
+                         waveform="ofdm")
 
 
 def semianalytic_configs():
@@ -526,6 +525,30 @@ class TestConfigValidation:
             small_config(waveform="gfdm")
         with pytest.raises(ConfigError):
             small_config(mode="mimo")
+
+    def test_scheme_order_checked_at_construction(self):
+        # QPSK's order is not SweepConfig's default of 2
+        with pytest.raises(ConfigError, match="qpsk has order 4, got 2"):
+            SweepConfig(grid=OtfsGrid(M=2, N=2), scheme="qpsk")
+
+    @pytest.mark.parametrize("over", [
+        pytest.param(dict(snr_db=(-math.inf, 0.0)), id="snr-minus-inf"),
+        pytest.param(dict(snr_db=(0.0, math.nan)), id="snr-nan"),
+        pytest.param(dict(master_seed=-1), id="negative-seed"),
+        pytest.param(dict(paths=(PathSpec(m=1, omega=1.0, l=4),)), id="otfs-l-MN"),
+        pytest.param(dict(paths=(PathSpec(m=1, omega=1.0, l=2),), waveform="ofdm"),
+                     id="cp-ofdm-l-M"),
+    ])
+    def test_rejected_at_construction(self, over):
+        with pytest.raises(ConfigError):
+            small_config(**over)
+
+    def test_delay_rule_reads_only_the_waveform_route(self):
+        # the semi-analytic route places no path on the grid
+        cfg = small_config(paths=(PathSpec(m=1, omega=1.0, l=4),),
+                           mode="simo-semianalytic")
+        assert cfg.paths[0].l == 4
+        assert small_config(paths=(PathSpec(m=1, omega=1.0, l=3),)).paths[0].l == 3
 
     def test_curve_point_lookup(self):
         curve = run_sweep(small_config())
