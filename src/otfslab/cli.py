@@ -12,8 +12,11 @@ Exit codes: 0 success, 2 configuration error, 3 capacity error,
 4 numeric non-convergence.
 
 Configs are read and written through one table of keys, ``_KEYS``; a key a
-config leaves unset takes SweepConfig's default.  A flag is a key written
-over the config file's (``_FLAG_KEYS``): ``--seed N`` is ``seed = N``.
+config leaves unset takes SweepConfig's default.  On every command a flag is
+a key written over the config's (``_FLAG_KEYS``): ``--seed N`` is ``seed = N``.
+The ``figure`` and ``diversity`` presets are configs, budgets included: the
+200 000-frame cap of figures 3 and 4 is their ``max_frames``, which
+``--frames-max`` replaces.
 Every CSV embeds a resolved config as ``# cfg key = value`` lines
 (``workers`` is ignored on reading).  Fed back through ``--config``, a
 ``sweep``, ``compare`` or ``analytic`` CSV reproduces its data rows byte for
@@ -248,7 +251,10 @@ def emit_csv(curves, path, notes=(), config: SweepConfig | None = None) -> None:
     lines.append(CSV_HEADER)
     for curve in curves:
         lines.extend(curve_rows(curve))
-    text = "\n".join(lines) + "\n"
+    _write(path, "\n".join(lines) + "\n")
+
+
+def _write(path, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -276,28 +282,27 @@ def _table2_grid() -> OtfsGrid:
     return OtfsGrid(M=2, N=2, delta_f=15e3)
 
 
-def figure_config(number: int, seed: int | None, target_errors: int | None,
-                  max_frames: int | None, workers=None) -> list:
-    """(config, notes) pairs for one paper-replication figure preset.  A
-    budget left None is 2000 bit errors, or SweepConfig's frame cap."""
-    # `workers` is ignored; ROADMAP P0 retires the positional argument
-    mf = SweepConfig.max_frames if max_frames is None else max_frames
-    base = dict(grid=_table2_grid(), max_frames=mf,
-                target_bit_errors=2000 if target_errors is None else target_errors)
+def figure_config(number: int, seed: int | None = None,
+                  target_errors: int | None = None,
+                  max_frames: int | None = None, workers=None) -> list:
+    """(config, notes) pairs for one paper-replication figure.  Its presets'
+    budgets are 2000 bit errors and SweepConfig's frame cap, or 200 000 on
+    the semi-analytic figures 3 and 4; a seed or budget given replaces them."""
+    base = dict(grid=_table2_grid(), target_bit_errors=2000)
+    qpsk = dict(base, scheme="qpsk", order=4)
+    semi = dict(qpsk, mode="simo-semianalytic", max_frames=200_000)
     runs = []
     if number == 1:
         for m in (1, 2):
             cfg = SweepConfig(paths=(PathSpec(m=m, omega=1.0),),
-                              master_seed=seed if seed is not None else 20260801 + m,
-                              preset=f"fig1-m{m}", **base)
+                              master_seed=20260801 + m, preset=f"fig1-m{m}", **base)
             runs.append((cfg, ["channel: single path, unit power"]))
     elif number == 2:
         for m1, m2 in ((1, 2), (2, 3)):
             paths = (PathSpec(m=m1, omega=FIG2_OMEGAS[0], l=0),
                      PathSpec(m=m2, omega=FIG2_OMEGAS[1], l=1))
-            cfg = SweepConfig(scheme="qpsk", order=4, paths=paths,
-                              master_seed=seed if seed is not None else 20260810 + m1,
-                              preset=f"fig2-m{m1}{m2}", **base)
+            cfg = SweepConfig(paths=paths, master_seed=20260810 + m1,
+                              preset=f"fig2-m{m1}{m2}", **qpsk)
             runs.append((cfg, [
                 f"ASSUMED per-path powers {FIG2_OMEGAS} (source leaves the "
                 f"split unspecified)"]))
@@ -305,12 +310,9 @@ def figure_config(number: int, seed: int | None, target_errors: int | None,
         for k_u in (1, 2):
             interferers = () if k_u == 1 else (
                 (PathSpec(m=2, omega=FIG3_INTERFERER_OMEGA),),)
-            cfg = SweepConfig(scheme="qpsk", order=4,
-                              paths=(PathSpec(m=2, omega=1.0),),
-                              mode="simo-semianalytic", interferers=interferers,
-                              master_seed=seed if seed is not None else 20260820 + k_u,
-                              preset=f"fig3-ku{k_u}",
-                              **{**base, "max_frames": min(mf, 200_000)})
+            cfg = SweepConfig(paths=(PathSpec(m=2, omega=1.0),),
+                              interferers=interferers, master_seed=20260820 + k_u,
+                              preset=f"fig3-ku{k_u}", **semi)
             runs.append((cfg, [] if k_u == 1 else [
                 f"ASSUMED interferer power omega = {FIG3_INTERFERER_OMEGA} "
                 f"(source value unspecified)"]))
@@ -319,19 +321,32 @@ def figure_config(number: int, seed: int | None, target_errors: int | None,
             interferers = () if k_u == 1 else (
                 (PathSpec(m=m, omega=FIG3_INTERFERER_OMEGA / 2, l=0),
                  PathSpec(m=m, omega=FIG3_INTERFERER_OMEGA / 2, l=1)),)
-            cfg = SweepConfig(scheme="qpsk", order=4,
-                              paths=(PathSpec(m=m, omega=0.5, l=0),
+            cfg = SweepConfig(paths=(PathSpec(m=m, omega=0.5, l=0),
                                      PathSpec(m=m, omega=0.5, l=1)),
-                              mode="simo-semianalytic", interferers=interferers,
-                              master_seed=seed if seed is not None else 20260830 + k_u,
-                              preset=f"fig4-m{m}-ku{k_u}",
-                              **{**base, "max_frames": min(mf, 200_000)})
+                              interferers=interferers, master_seed=20260830 + k_u,
+                              preset=f"fig4-m{m}-ku{k_u}", **semi)
             runs.append((cfg, [] if k_u == 1 else [
                 f"ASSUMED per-path interferer power omega = "
                 f"{FIG3_INTERFERER_OMEGA / 2} (source value unspecified)"]))
     else:
         raise ConfigError(f"figure must be 1, 2, 3, or 4, got {number}")
-    return runs
+    # `workers` is ignored; ROADMAP P0 retires the positional argument
+    given = dict(master_seed=seed, target_bit_errors=target_errors,
+                 max_frames=max_frames)
+    given = {field: value for field, value in given.items() if value is not None}
+    return [(replace(cfg, **given), notes) for cfg, notes in runs]
+
+
+def _table3_presets() -> tuple:
+    """Table 3's configs: one unit-power path, run OTFS vs OFDM, and the
+    two-path m = (1, 2) channel at the ASSUMED powers."""
+    base = dict(grid=_table2_grid(), scheme="qpsk", order=4, snr_db=(10.0, 20.0),
+                target_bit_errors=2000)
+    return (SweepConfig(paths=(PathSpec(m=1, omega=1.0),), master_seed=20260840,
+                        preset="table3-p1m1", **base),
+            SweepConfig(paths=(PathSpec(m=1, omega=TABLE3_P2_OMEGAS[0], l=0),
+                               PathSpec(m=2, omega=TABLE3_P2_OMEGAS[1], l=1)),
+                        master_seed=20260841, preset="table3-p2m12", **base))
 
 
 # ---------------------------------------------------------------------------
@@ -365,20 +380,25 @@ _FLAG_KEYS = {"seed": "seed", "snr": "snr", "frames_max": "max_frames",
 _MODE_FLAGS = {"siso": "siso-waveform", "simo": "simo-semianalytic"}
 
 
+def _with_flags(kv: dict, args) -> SweepConfig:
+    """The config the keys kv set, with each flag given written over its key."""
+    kv = dict(kv)
+    for flag, key in _FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            kv[key] = _MODE_FLAGS[value] if flag == "mode" else value
+    return config_from_kv(kv)
+
+
 def _load_config(args) -> SweepConfig:
-    kv = {}
+    text = ""
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read {args.config}: {e}") from e
-        kv = parse_config_text(text)
-    for flag, key in _FLAG_KEYS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            kv[key] = _MODE_FLAGS[value] if flag == "mode" else value
-    return config_from_kv(kv)
+    return _with_flags(parse_config_text(text), args)
 
 
 def cmd_sweep(args) -> int:
@@ -421,20 +441,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_diversity(args) -> int:
-    seed = 20260840 if args.seed is None else args.seed
-    base = dict(grid=_table2_grid(), scheme="qpsk", order=4, snr_db=(10.0, 20.0),
-                target_bit_errors=2000 if args.target_errors is None
-                else args.target_errors)
-    if args.frames_max is not None:
-        base["max_frames"] = args.frames_max
-    p1 = SweepConfig(paths=(PathSpec(m=1, omega=1.0),), master_seed=seed,
-                     preset="table3-p1m1", **base)
-    otfs, ofdm = engine.paired_comparison(p1)
-    p2 = SweepConfig(paths=(PathSpec(m=1, omega=TABLE3_P2_OMEGAS[0], l=0),
-                            PathSpec(m=2, omega=TABLE3_P2_OMEGAS[1], l=1)),
-                     master_seed=seed + 1, preset="table3-p2m12", **base)
+    p1, p2 = (_with_flags(config_to_kv(cfg), args) for cfg in _table3_presets())
     if args.asymptotic:
         p2 = replace(p2, snr_db=(30.0, 40.0))
+    otfs, ofdm = engine.paired_comparison(p1)
     p2_curve = engine.run_sweep(p2)
     rows = []
     for label, curve, use_analytic in (
@@ -446,6 +456,9 @@ def cmd_diversity(args) -> int:
         rows.append((label, diversity.empirical_gd(curve, *cfg.snr_db,
                                                    use_analytic=use_analytic),
                      diversity.siso_gd_approx([p.m for p in cfg.paths])))
+    if args.out:
+        _write(args.out, "config,gd_empirical,gd_approx\n" + "".join(
+            f"{label},{gd:.6e},{approx:.6e}\n" for label, gd, approx in rows))
 
     window = p2.snr_db
     print(f"# diversity report (window {window[0]:g}->{window[1]:g} dB; "
@@ -454,28 +467,36 @@ def cmd_diversity(args) -> int:
     print("config,gd_empirical,gd_approx")
     for label, gd, approx in rows:
         print(f"{label},{gd:.4f},{approx:.4f}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("config,gd_empirical,gd_approx\n")
-            for label, gd, approx in rows:
-                fh.write(f"{label},{gd:.6e},{approx:.6e}\n")
     return 0
 
 
 def cmd_figure(args) -> int:
-    runs = figure_config(args.number, args.seed, args.target_errors,
-                         args.frames_max)
+    runs = [(_with_flags(config_to_kv(cfg), args), notes)
+            for cfg, notes in figure_config(args.number)]
+    out = f"figure{args.number}.csv" if args.out is None else args.out
     curves, notes = [], []
     for cfg, run_notes in runs:
         notes.extend(run_notes)
         progress = _progress_printer(sys.stderr, cfg) if args.verbose else None
-        if args.number in (1, 2):
+        if cfg.mode == "siso-waveform":
             curves.extend(engine.paired_comparison(cfg, progress))
         else:
             curves.append(engine.run_sweep(cfg, progress))
-    emit_csv(curves, args.out, notes=notes, config=runs[0][0])
-    print(f"wrote {args.out} ({sum(len(c.points) for c in curves)} rows)")
+    emit_csv(curves, out, notes=notes, config=runs[0][0])
+    print(f"wrote {out} ({sum(len(c.points) for c in curves)} rows)")
     return 0
+
+
+# the options of the flags that take more than a string; --seed,
+# --frames-max and --target-errors take a config key's text, read by its parser
+_FLAG_OPTIONS = {
+    "config": dict(help="config file or previously emitted CSV"),
+    "snr": dict(help="start:step:stop in dB"),
+    "verbose": dict(action="store_true"),
+    "waveform": dict(choices=["otfs", "ofdm"]),
+    "mode": dict(choices=["siso", "simo"]),
+    "asymptotic": dict(action="store_true", help="use the 30->40 dB analytic window"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,49 +506,23 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_mc=True):
-        p.add_argument("--config", help="config file or previously emitted CSV")
-        # each value is a config key's text, read by that key's parser
-        p.add_argument("--seed")
-        p.add_argument("--out", default="curve.csv")
-        p.add_argument("--snr", help="start:step:stop in dB")
-        p.add_argument("--verbose", action="store_true")
-        if with_mc:
-            p.add_argument("--frames-max")
-            p.add_argument("--target-errors")
-            p.add_argument("--waveform", choices=["otfs", "ofdm"])
-            p.add_argument("--mode", choices=["siso", "simo"])
+    def command(name, func, about, flags, out="curve.csv"):
+        p = sub.add_parser(name, help=about)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAG_OPTIONS.get(flag, {}))
+        p.set_defaults(func=func, out=out)
+        return p
 
-    p_sweep = sub.add_parser("sweep", help="Monte Carlo + analytic curve")
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_an = sub.add_parser("analytic", help="closed-form curve only")
-    common(p_an, with_mc=False)
-    p_an.add_argument("--mode", choices=["siso", "simo"])
-    p_an.set_defaults(func=cmd_analytic)
-
-    p_cmp = sub.add_parser("compare", help="paired OTFS vs OFDM run")
-    common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_div = sub.add_parser("diversity", help="diversity slope report")
-    p_div.add_argument("--seed", type=int, default=None)
-    p_div.add_argument("--out", default=None)
-    p_div.add_argument("--frames-max", type=int, default=None)
-    p_div.add_argument("--target-errors", type=int, default=None)
-    p_div.add_argument("--asymptotic", action="store_true",
-                       help="use the 30->40 dB analytic window")
-    p_div.set_defaults(func=cmd_diversity)
-
-    p_fig = sub.add_parser("figure", help="paper-replication presets")
+    mc = "config seed out snr verbose frames-max target-errors waveform mode"
+    command("sweep", cmd_sweep, "Monte Carlo + analytic curve", mc)
+    command("analytic", cmd_analytic, "closed-form curve only",
+            "config seed out snr verbose mode")
+    command("compare", cmd_compare, "paired OTFS vs OFDM run", mc)
+    command("diversity", cmd_diversity, "diversity slope report",
+            "seed out frames-max target-errors asymptotic", out=None)
+    p_fig = command("figure", cmd_figure, "paper-replication presets",
+                    "seed out frames-max target-errors verbose", out=None)
     p_fig.add_argument("number", type=int, choices=[1, 2, 3, 4])
-    p_fig.add_argument("--seed", type=int, default=None)
-    p_fig.add_argument("--out", default=None)
-    p_fig.add_argument("--frames-max", type=int, default=None)
-    p_fig.add_argument("--target-errors", type=int, default=None)
-    p_fig.add_argument("--verbose", action="store_true")
-    p_fig.set_defaults(func=cmd_figure)
     return ap
 
 
@@ -537,8 +532,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else 0
-    if getattr(args, "out", None) is None and args.command == "figure":
-        args.out = f"figure{args.number}.csv"
     try:
         return args.func(args)
     except ConfigError as e:

@@ -48,17 +48,17 @@ Blocks of one symbol are the diagonal case (``symbol_wise``): then
 each symbol's lowest minimising point index is the lexicographically first
 joint minimiser.  This holds for the CP-OFDM chain always (the per-symbol
 DFT diagonalises each path's circulant delay) and for one path with
-l = k = kappa = 0, whose operator is the identity up to the DFT round trip.  The symbol-wise kernel works on ``(MN, frames)`` arrays, frames on
-the long contiguous axis, about ``_DIAG_BLOCK_SYMBOLS`` symbols at a time so
-the temporaries stay cache-resident.  It
-visits the constellation points in index order and keeps a running minimum
-distance per symbol; a decision moves to point ``c`` only where ``d_c`` is
-strictly smaller than the best so far, so ties resolve to the lowest point
-index as ``np.argmin`` does, and the lowest point index per symbol is the
-lexicographically first joint minimiser, the rule of ``modem.ml_detect``.
-Each ``d_c = |y - (scale lambda) p_c|^2`` is formed with the operations,
-and operand order, of the direct ``(F, MN, order)`` formula, so distances
-and decisions are bit-identical to it; no ``(F, MN, order)`` array is made.
+l = k = kappa = 0, whose operator is the identity up to the DFT round trip.
+The symbol-wise kernel works on ``(MN, frames)`` arrays, frames on the long
+contiguous axis, about ``_DIAG_BLOCK_SYMBOLS`` symbols at a time so the
+temporaries stay cache-resident.  It visits the constellation points in index
+order and keeps a running minimum distance per symbol; a decision moves to
+point ``c`` only where ``d_c`` is strictly smaller than the best so far, so
+ties resolve to the lowest point index as ``np.argmin`` does, and the lowest
+point index per symbol is the lexicographically first joint minimiser, the rule
+of ``modem.ml_detect``.  Each ``d_c = |y - (scale lambda) p_c|^2`` is formed
+with the operations, and operand order, of the direct ``(F, MN, order)``
+formula, without its array, so distances and decisions are bit-identical.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,7 @@ from otfslab import cli, engine
 from otfslab.analytic import mod_params
 from otfslab.cli import (CSV_HEADER, config_from_kv, config_to_kv, emit_csv,
                          main, parse_config_text, parse_csv_rows)
-from otfslab.engine import SweepConfig, run_sweep
+from otfslab.engine import BerCurve, BerPoint, SweepConfig, run_sweep
 from otfslab.errors import ConfigError
 from otfslab.fading import PathSpec
 from otfslab.modem import OtfsGrid
@@ -111,6 +112,116 @@ class TestConfigFormat:
     def test_snr_range_expansion(self):
         cfg = config_from_kv({"snr": "0:2:6"})
         assert cfg.snr_db == (0.0, 2.0, 4.0, 6.0)
+
+
+def benchmark_presets(number, seed, frames):
+    """The configs ``figure_config(number, seed, None, frames, 1)`` gave the
+    benchmark while each budget was filled in per figure."""
+    cap = SweepConfig.max_frames if frames is None else frames
+    base = dict(grid=OtfsGrid(M=2, N=2, delta_f=15e3), target_bit_errors=2000,
+                master_seed=seed, max_frames=cap)
+    qpsk = dict(base, scheme="qpsk", order=4)
+    semi = dict(qpsk, mode="simo-semianalytic", max_frames=min(cap, 200_000))
+    if number == 1:
+        return [SweepConfig(paths=(PathSpec(m=m, omega=1.0),),
+                            preset=f"fig1-m{m}", **base) for m in (1, 2)]
+    if number == 2:
+        return [SweepConfig(paths=(PathSpec(m=m1, omega=2 / 3, l=0),
+                                   PathSpec(m=m2, omega=1 / 3, l=1)),
+                            preset=f"fig2-m{m1}{m2}", **qpsk)
+                for m1, m2 in ((1, 2), (2, 3))]
+    if number == 3:
+        return [SweepConfig(paths=(PathSpec(m=2, omega=1.0),), preset="fig3-ku1", **semi),
+                SweepConfig(paths=(PathSpec(m=2, omega=1.0),),
+                            interferers=((PathSpec(m=2, omega=0.015),),),
+                            preset="fig3-ku2", **semi)]
+    return [SweepConfig(paths=(PathSpec(m=1, omega=0.5, l=0), PathSpec(m=1, omega=0.5, l=1)),
+                        preset="fig4-m1-ku1", **semi),
+            SweepConfig(paths=(PathSpec(m=2, omega=0.5, l=0), PathSpec(m=2, omega=0.5, l=1)),
+                        interferers=((PathSpec(m=2, omega=0.0075, l=0),
+                                      PathSpec(m=2, omega=0.0075, l=1)),),
+                        preset="fig4-m2-ku2", **semi)]
+
+
+def closed_form_curve(cfg, waveform="otfs"):
+    """A curve whose estimates are its closed-form values; nothing is drawn."""
+    points = tuple(BerPoint(snr_db=s, bit_errors=1, bits=1, ber=10 ** (-s / 10),
+                            ci_low=0.0, ci_high=1.0, analytic_ber=10 ** (-s / 10))
+                   for s in cfg.snr_db)
+    return BerCurve(points=points, waveform=waveform, preset=cfg.preset, config=cfg)
+
+
+class TestPresets:
+    @pytest.mark.parametrize("presets", [
+        *(pytest.param([cfg for cfg, _ in cli.figure_config(n)], id=f"figure{n}")
+          for n in (1, 2, 3, 4)),
+        pytest.param(list(cli._table3_presets()), id="table3")])
+    def test_presets_survive_the_key_round_trip(self, presets):
+        # figure and diversity resolve each preset through its keys
+        for cfg in presets:
+            assert config_from_kv(config_to_kv(cfg)) == cfg
+
+    def test_preset_budgets(self):
+        for number, cap in ((1, SweepConfig.max_frames), (2, SweepConfig.max_frames),
+                            (3, 200_000), (4, 200_000)):
+            for cfg, _ in cli.figure_config(number):
+                assert (cfg.target_bit_errors, cfg.max_frames) == (2000, cap)
+
+    @pytest.mark.parametrize("seed", [1, 20260801])
+    @pytest.mark.parametrize("number, frames", [
+        pytest.param(1, 16384, id="fig1"), pytest.param(2, 2048, id="fig2"),
+        pytest.param(1, 65536, id="ofdm-cp-fig1"), pytest.param(2, 65536, id="ofdm-cp-fig2"),
+        pytest.param(3, None, id="analytic-fig3"), pytest.param(4, None, id="analytic-fig4")])
+    def test_benchmark_calls_get_the_configs_they_got(self, number, frames, seed):
+        runs = cli.figure_config(number, seed, None, frames, 1)
+        assert [cfg for cfg, _ in runs] == benchmark_presets(number, seed, frames)
+
+    def test_frames_max_replaces_the_semianalytic_frame_cap(self, tmp_path, capsys):
+        # 200 000 is the preset's cap, not a ceiling on the flag
+        assert all(cfg.max_frames == 300_000
+                   for cfg, _ in cli.figure_config(3, max_frames=300_000))
+        assert main(["figure", "3", "--frames-max", "300000", "--verbose",
+                     "--out", str(tmp_path / "f3.csv")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"  {snr:5.1f} dB: 300000 trials" for snr in range(0, 21, 2)] * 2
+
+    def test_diversity_seed_flag_seeds_both_presets(self, monkeypatch, capsys):
+        seen = []
+
+        def paired(cfg, progress=None):
+            seen.append(cfg)
+            return closed_form_curve(cfg), closed_form_curve(cfg, "ofdm")
+
+        def sweep(cfg, progress=None):
+            seen.append(cfg)
+            return closed_form_curve(cfg)
+        monkeypatch.setattr(engine, "paired_comparison", paired)
+        monkeypatch.setattr(engine, "run_sweep", sweep)
+        assert main(["diversity"]) == 0
+        assert seen == list(cli._table3_presets())
+        assert [cfg.master_seed for cfg in seen] == [20260840, 20260841]
+        seen.clear()
+        assert main(["diversity", "--seed", "5"]) == 0
+        assert seen == [replace(cfg, master_seed=5) for cfg in cli._table3_presets()]
+
+    @pytest.mark.parametrize("command, key", [
+        ("figure 1 --frames-max 1e5", "max_frames"),
+        ("figure 3 --target-errors x", "target_errors"),
+        ("diversity --seed 1e3", "seed")])
+    def test_malformed_preset_flag_is_a_config_error(self, tmp_path, capsys,
+                                                     command, key):
+        # the flags of figure and diversity are read by their keys' parsers
+        out = tmp_path / "x.csv"
+        assert main(command.split() + ["--out", str(out)]) == 2
+        assert f"config error: malformed {key} " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diversity_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "div.csv"
+        assert main(["diversity", "--frames-max", "8192", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: cannot write {out}" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestCsvFormat:
