@@ -21,9 +21,11 @@ Every CSV embeds a resolved config as ``# cfg key = value`` lines
 (``workers`` is ignored on reading).  Fed back through ``--config``, a
 ``sweep``, ``compare`` or ``analytic`` CSV reproduces its data rows byte for
 byte; a ``figure`` CSV embeds only its first preset, whose rows ``compare``
-(figures 1, 2) or ``sweep`` (3, 4) reproduce.  ``--verbose`` prints a line
-per running chain every ten batches (OTFS first), and a line of trials per
-semi-analytic point.
+(figures 1, 2) or ``sweep`` (3, 4) reproduce, and a ``diversity`` CSV its
+first preset, the one-path pair whose curves ``compare`` reproduces.
+``--verbose`` (``sweep``, ``compare``, ``figure``) prints a line per running
+chain every ten batches (OTFS first), and a line of trials per semi-analytic
+point.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .fading import PathSpec, eva_grid_placement, make_stream
 from .modem import OtfsGrid
 
 CSV_HEADER = "snr_db,ber_mc,ci_low,ci_high,ber_analytic,bit_errors,bits,waveform,preset"
+DIVERSITY_HEADER = "config,gd_empirical,gd_approx"
 
 # Power splits the source data leaves unspecified; every use is labeled
 # ASSUMED in the emitted manifest.
@@ -140,7 +143,7 @@ def parse_config_text(text: str) -> dict:
     kv = {}
     for raw in text.splitlines():
         line = raw.strip()
-        if line == CSV_HEADER:
+        if line in (CSV_HEADER, DIVERSITY_HEADER):
             break  # an emitted CSV: only data rows follow
         if line.startswith("# cfg "):
             line = line[len("# cfg "):].strip()
@@ -230,15 +233,11 @@ def curve_rows(curve: BerCurve) -> list:
     return rows
 
 
-def emit_csv(curves, path, notes=(), config: SweepConfig | None = None) -> None:
-    """Write one or more curves with a reproducibility manifest."""
-    if isinstance(curves, BerCurve):
-        curves = [curves]
-    if not curves or not any(c.points for c in curves):
-        raise ConfigError("refusing to emit an empty curve")
+def _manifest(cfg: SweepConfig | None, notes=()) -> list:
+    """The '#' lines that head every CSV: version, time, the config's keys,
+    the notes, and the notes the config itself calls for."""
     lines = [f"# otfslab {__version__} run manifest",
              f"# generated: {datetime.now(timezone.utc).isoformat()}"]
-    cfg = config or curves[0].config
     if cfg is not None:
         for key, value in config_to_kv(cfg).items():
             lines.append(f"# cfg {key} = {value}")
@@ -248,6 +247,16 @@ def emit_csv(curves, path, notes=(), config: SweepConfig | None = None) -> None:
         lines.append(f"# {MATCHED_FILTER_NOTE}")
     if cfg is not None and cfg.mode == "simo-semianalytic" and not cfg.interferers:
         lines.append(f"# {INTERFERENCE_FREE_NOTE}")
+    return lines
+
+
+def emit_csv(curves, path, notes=(), config: SweepConfig | None = None) -> None:
+    """Write one or more curves with a reproducibility manifest."""
+    if isinstance(curves, BerCurve):
+        curves = [curves]
+    if not curves or not any(c.points for c in curves):
+        raise ConfigError("refusing to emit an empty curve")
+    lines = _manifest(config or curves[0].config, notes)
     lines.append(CSV_HEADER)
     for curve in curves:
         lines.extend(curve_rows(curve))
@@ -456,15 +465,18 @@ def cmd_diversity(args) -> int:
         rows.append((label, diversity.empirical_gd(curve, *cfg.snr_db,
                                                    use_analytic=use_analytic),
                      diversity.siso_gd_approx([p.m for p in cfg.paths])))
-    if args.out:
-        _write(args.out, "config,gd_empirical,gd_approx\n" + "".join(
-            f"{label},{gd:.6e},{approx:.6e}\n" for label, gd, approx in rows))
-
     window = p2.snr_db
-    print(f"# diversity report (window {window[0]:g}->{window[1]:g} dB; "
-          f"ASSUMED P=2 powers {TABLE3_P2_OMEGAS})")
-    print(f"# {MATCHED_FILTER_NOTE} (row otfs-p2-m12-analytic)")
-    print("config,gd_empirical,gd_approx")
+    notes = [f"diversity report (window {window[0]:g}->{window[1]:g} dB; "
+             f"ASSUMED P=2 powers {TABLE3_P2_OMEGAS})",
+             f"{MATCHED_FILTER_NOTE} (row otfs-p2-m12-analytic)"]
+    if args.out:
+        lines = _manifest(p1, notes) + [DIVERSITY_HEADER] + [
+            f"{label},{gd:.6e},{approx:.6e}" for label, gd, approx in rows]
+        _write(args.out, "\n".join(lines) + "\n")
+
+    for note in notes:
+        print(f"# {note}")
+    print(DIVERSITY_HEADER)
     for label, gd, approx in rows:
         print(f"{label},{gd:.4f},{approx:.4f}")
     return 0
@@ -516,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc = "config seed out snr verbose frames-max target-errors waveform mode"
     command("sweep", cmd_sweep, "Monte Carlo + analytic curve", mc)
     command("analytic", cmd_analytic, "closed-form curve only",
-            "config seed out snr verbose mode")
+            "config seed out snr mode")
     command("compare", cmd_compare, "paired OTFS vs OFDM run", mc)
     command("diversity", cmd_diversity, "diversity slope report",
             "seed out frames-max target-errors asymptotic", out=None)

@@ -110,14 +110,18 @@ def sample_nakagami_gains(specs, rng: np.random.Generator, size: int) -> np.ndar
     """Vectorized draw: (size, len(specs)) complex gains, one column per path.
 
     Each path draws its Gamma(m, omega/m) powers and then its uniform phases
-    on [0, 2 pi)."""
+    on [0, 2 pi).  The magnitude times cos and sin of the phase go straight
+    into the real and imaginary parts of the path's column, which are the
+    bits of ``np.sqrt(power) * np.exp(1j * phase)`` without its temporaries."""
     out = np.empty((size, len(specs)), dtype=np.complex128)
-    power, phase = np.empty(size), np.empty(size)
+    power, phase, trig = np.empty(size), np.empty(size), np.empty(size)
     for p, spec in enumerate(specs):
         _draw_power(spec, rng, power)
         rng.random(out=phase)
         phase *= 2.0 * math.pi
-        out[:, p] = np.sqrt(power) * np.exp(1j * phase)
+        np.sqrt(power, out=power)
+        np.multiply(power, np.cos(phase, out=trig), out=out[:, p].real)
+        np.multiply(power, np.sin(phase, out=trig), out=out[:, p].imag)
     return out
 
 

@@ -51,14 +51,28 @@ DFT diagonalises each path's circulant delay) and for one path with
 l = k = kappa = 0, whose operator is the identity up to the DFT round trip.
 The symbol-wise kernel works on ``(MN, frames)`` arrays, frames on the long
 contiguous axis, about ``_DIAG_BLOCK_SYMBOLS`` symbols at a time so the
-temporaries stay cache-resident.  It visits the constellation points in index
-order and keeps a running minimum distance per symbol; a decision moves to
-point ``c`` only where ``d_c`` is strictly smaller than the best so far, so
-ties resolve to the lowest point index as ``np.argmin`` does, and the lowest
-point index per symbol is the lexicographically first joint minimiser, the rule
-of ``modem.ml_detect``.  Each ``d_c = |y - (scale lambda) p_c|^2`` is formed
+temporaries stay cache-resident.  It forms ``y = (scale lambda) p + noise``
 with the operations, and operand order, of the direct ``(F, MN, order)``
-formula, without its array, so distances and decisions are bit-identical.
+formula, and then decides each symbol one of two ways:
+
+- a sign slicer when ``points`` equal ``modem.make_constellation``'s BPSK
+  ``[1, -1]`` or Gray QPSK ``[(+-1 +-j)/sqrt 2]`` table exactly (a property
+  of the input, so no option selects it).  Every point has the same modulus,
+  so ``|y - (scale lambda) p_c|^2`` is least where ``Re(conj(p_c) z)`` is
+  greatest, with ``z = conj(scale lambda) y``: BPSK decides
+  ``Re z < 0`` and QPSK ``2 (Re z < 0) + (Im z < 0)``.  A zero, -0.0
+  included, is not ``< 0``, so a tie goes to the lower point index.
+  Decisions equal the distance comparison except where ``|Re z|`` or
+  ``|Im z|`` is at rounding level.
+- for every other table, a running minimum over the points in index order:
+  a decision moves to point ``c`` only where ``d_c`` is strictly smaller
+  than the best so far, so ties resolve to the lowest point index as
+  ``np.argmin`` does.  Each ``d_c = |y - (scale lambda) p_c|^2`` is formed
+  as the direct formula forms it, without its array, so distances and
+  decisions are bit-identical to it.
+
+Either way the lowest point index per symbol is the lexicographically first
+joint minimiser, the rule of ``modem.ml_detect``.
 """
 
 from __future__ import annotations
@@ -274,9 +288,23 @@ def _block_frame_errors(A_ops, blocks, tables, gains, sym_idx, noise, points,
 # fused multiply-adds numpy's complex product is not bitwise commutative.
 # ---------------------------------------------------------------------------
 
+# Constellations the symbol-wise kernel decides by the signs of z (module
+# docstring), as (table, sign axes): BPSK reads Re z, Gray QPSK Re z and Im z.
+_SIGN_SLICED = ((modem.make_constellation("bpsk").points, 1),
+                (modem.make_constellation("qpsk").points, 2))
+
+
 def _diag_rows(mn: int) -> int:
     """Frames per block for mn symbols per frame."""
     return max(1, _DIAG_BLOCK_SYMBOLS // mn)
+
+
+def _sign_axes(points) -> int:
+    """Axes of z the sign slicer reads for these points, 0 for none."""
+    for table, axes in _SIGN_SLICED:
+        if points.shape == table.shape and np.array_equal(points, table):
+            return axes
+    return 0
 
 
 def diag_frame_errors(phi, scale, gains, sym_idx, noise, points, hamming) -> tuple:
@@ -284,13 +312,23 @@ def diag_frame_errors(phi, scale, gains, sym_idx, noise, points, hamming) -> tup
 
     phi (P, MN) the diagonals of the path operators; scale the data-symbol
     amplitude; gains (F, P); sym_idx (F, MN) indices into points;
-    noise (F, MN); hamming (order, order) bit distances.
+    noise (F, MN); hamming (order, order) bit distances.  No argument is
+    written to.
+
+    Exact ML with ``ml_detect``'s tie rule (module docstring).  When
+    ``points`` are exactly ``make_constellation``'s BPSK or Gray QPSK table,
+    each symbol is decided by the signs of ``z = conj(scale lambda) y``,
+    ``Re z < 0`` or ``2 (Re z < 0) + (Im z < 0)``, a zero going to the lower
+    index; decisions equal the distance comparison except where ``|Re z|``
+    or ``|Im z|`` is at rounding level.  Any other table takes a running
+    minimum of the distances, bit-identical to the direct formula's argmin.
     """
     P, MN = phi.shape
     F = len(gains)
     order = len(points)
     scale = float(scale)
     ham = hamming.ravel()
+    axes = _sign_axes(points)
     det_type = np.min_scalar_type(order - 1)
     per_frame = np.empty(F, dtype=np.int64)
     rows = _diag_rows(MN)
@@ -300,21 +338,30 @@ def diag_frame_errors(phi, scale, gains, sym_idx, noise, points, hamming) -> tup
         for p in range(P):
             lam += gains[s, p] * phi[p][:, None]
         sl = scale * lam
+        # a view of the caller's sym_idx when the block holds one frame
         sym = np.ascontiguousarray(sym_idx[s].T)
         # a call, not `sl * points[sym]`: numpy may evaluate an operator whose
         # right operand is a large temporary with the operands swapped
         y = np.multiply(sl, points[sym]) + np.ascontiguousarray(noise[s].T)
-        det = np.zeros(sym.shape, dtype=det_type)
-        for c in range(order):
-            diff = y - sl * points[c]
-            dist = diff.real ** 2 + diff.imag ** 2
-            if c == 0:
-                best = dist
-                continue
-            # c grows, so the last strict improvement is the largest c that
-            # improved: the first minimiser, as np.argmin picks it
-            np.maximum(det, (dist < best).view(np.uint8) * det_type.type(c),
-                       out=det)
-            np.minimum(best, dist, out=best)
+        if axes:
+            # z = conj(scale lambda) y, into y: sl and y are this block's own
+            z = np.multiply(np.conjugate(sl, out=sl), y, out=y)
+            det = (z.real < 0).view(np.uint8)
+            if axes == 2:
+                det = det << 1
+                det |= (z.imag < 0).view(np.uint8)
+        else:
+            det = np.zeros(sym.shape, dtype=det_type)
+            for c in range(order):
+                diff = y - sl * points[c]
+                dist = diff.real ** 2 + diff.imag ** 2
+                if c == 0:
+                    best = dist
+                    continue
+                # c grows, so the last strict improvement is the largest c
+                # that improved: the first minimiser, as np.argmin picks it
+                np.maximum(det, (dist < best).view(np.uint8) * det_type.type(c),
+                           out=det)
+                np.minimum(best, dist, out=best)
         per_frame[s] = ham[det.astype(np.intp) * order + sym].sum(axis=0)
     return _per_frame_totals(per_frame)

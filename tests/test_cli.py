@@ -216,6 +216,30 @@ class TestPresets:
         assert f"config error: malformed {key} " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_diversity_csv_embeds_its_first_preset(self, monkeypatch, tmp_path,
+                                                    capsys):
+        # the '# cfg' lines reload as the one-path preset the flags resolved,
+        # and the notes printed beside the report head the file too
+        monkeypatch.setattr(engine, "paired_comparison", lambda cfg, progress=None: (
+            closed_form_curve(cfg), closed_form_curve(cfg, "ofdm")))
+        monkeypatch.setattr(engine, "run_sweep",
+                            lambda cfg, progress=None: closed_form_curve(cfg))
+        out = tmp_path / "div.csv"
+        assert main(["diversity", "--seed", "5", "--frames-max", "8192",
+                     "--out", str(out)]) == 0
+        text = out.read_text()
+        p1 = replace(cli._table3_presets()[0], master_seed=5, max_frames=8192)
+        assert config_from_kv(parse_config_text(text)) == p1
+        cfg_lines = [r for r in text.splitlines() if r.startswith("# cfg ")]
+        assert config_from_kv(parse_config_text("\n".join(cfg_lines))) == p1
+        printed = capsys.readouterr().out.splitlines()
+        notes = [r for r in printed if r.startswith("# ")]
+        assert len(notes) == 2 and "window 10->20 dB" in notes[0]
+        lines = text.splitlines()
+        header = lines.index(cli.DIVERSITY_HEADER)
+        assert lines[header - 2:header] == notes
+        assert len(lines) == header + 5
+
     def test_diversity_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "div.csv"
         assert main(["diversity", "--frames-max", "8192", "--out", str(out)]) == 2
@@ -271,6 +295,13 @@ class TestCsvFormat:
 
 
 class TestCliCommands:
+    def test_analytic_takes_no_verbose_flag(self, tmp_path, capsys):
+        # the closed form prints no progress, so the flag is not accepted
+        out = tmp_path / "a.csv"
+        assert main(["analytic", "--verbose", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_and_manifest_reproducibility(self, tmp_path):
         out1 = tmp_path / "run1.csv"
         out2 = tmp_path / "run2.csv"
@@ -491,7 +522,8 @@ class TestCliCommands:
         text = capsys.readouterr().out
         assert "otfs-p1-m1" in text and "otfs-p2-m12-analytic" in text
         assert f"# {cli.MATCHED_FILTER_NOTE}" in text
-        assert out.read_text().count("\n") == 5
+        assert len([r for r in out.read_text().splitlines()
+                    if not r.startswith("#")]) == 5
 
     @pytest.mark.parametrize("command", ["diversity", "figure 1", "sweep"])
     def test_zero_frame_budget_exits_2(self, tmp_path, capsys, command):

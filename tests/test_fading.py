@@ -122,6 +122,37 @@ def drawn_in_order(specs, rng, size):
     return np.stack(powers, axis=1), np.stack(gains, axis=1)
 
 
+class TestGainDraw:
+    """The gains are written part by part into their columns."""
+
+    @pytest.mark.parametrize("name", sorted(POWER_SPEC_SETS))
+    def test_bits_of_sqrt_power_times_exp_phase(self, name):
+        # magnitude times cos and sin of the phase, written into the real and
+        # imaginary parts, against the complex exponential they replace
+        specs = POWER_SPEC_SETS[name]
+        for seed in range(8):
+            for size in (1, 7, 8192):
+                _, want = drawn_in_order(specs, make_stream(38, seed, size), size)
+                got = fading.sample_nakagami_gains(specs, make_stream(38, seed, size),
+                                                   size)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (
+                    seed, size)
+
+    def test_draws_into_the_gains(self):
+        # beside the (size, P) gains, three float arrays of size: power,
+        # phase and one cos/sin; a complex temporary would add two more
+        size = 100_000
+        for name in ("p1", "p3-mixed"):
+            specs = POWER_SPEC_SETS[name]
+            tracemalloc.start()
+            try:
+                fading.sample_nakagami_gains(specs, make_stream(39, 0), size)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * size * len(specs) + 3.25 * 8 * size, name
+
+
 # each size leaves a different remainder in Philox's 4-word block
 ALIGN_SIZES = (1, 2, 3, 4, 5, 257, 4099)
 

@@ -21,7 +21,11 @@ depend on how a batch is split into blocks.  Its inputs are the CP-OFDM
 subcarrier responses built here from the modem's primitives, with the data
 amplitude passed as the separate ``scale``; the engine folds that amplitude
 into the path operators instead, and the engine tests pin that this moves
-no count.
+no count.  BPSK and Gray QPSK take the sign slicer: its counts are checked
+against the direct formula down to sigma = 1e-3, also through the matrix
+kernel's symbol-wise route, and on ties built at +0.0 and -0.0; psk tables
+of orders 2 and 4, which are not those tables exactly, keep the distance
+loop.  Neither kernel writes to its arguments.
 """
 
 import math
@@ -53,6 +57,7 @@ CASES = {
                                (PathSpec(m=1, omega=1.0, l=1),), "otfs"),
     # one path with l = k = 0: diagonal operators, the symbol-wise route
     "otfs-one-path-bpsk": (OtfsGrid(M=2, N=2), "bpsk", ONE_PATH, "otfs"),
+    "otfs-one-path-qpsk": (OtfsGrid(M=2, N=2), "qpsk", ONE_PATH, "otfs"),
     "ofdm-shared-one-path-qpsk": (OtfsGrid(M=2, N=2), "qpsk", ONE_PATH, "ofdm"),
 }
 SIGMAS = (1.0, 0.3, 0.05, 0.01, 1e-3)
@@ -546,6 +551,122 @@ def test_diag_kernel_counts_do_not_depend_on_splits(monkeypatch):
     for symbols in (3 * phi.shape[1], 1):
         monkeypatch.setattr(kernels, "_DIAG_BLOCK_SYMBOLS", symbols)
         assert kernels.diag_frame_errors(*batch) == whole
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_sign_slicer_matches_direct_formula(sigma):
+    # BPSK and Gray QPSK are decided by the signs of z: on CP-OFDM frames,
+    # and on the one-path OTFS frames the matrix kernel sends symbol-wise
+    for case in ("cp-one-path-bpsk", "cp-two-path-qpsk"):
+        batch = make_diag_batch(case, 41, sigma, 3000)
+        assert kernels._sign_axes(batch[5]) == make_constellation(
+            DIAG_CASES[case][1]).bits_per_symbol
+        assert kernels.diag_frame_errors(*batch) == direct_diag_errors(*batch)
+    for case in ("otfs-one-path-bpsk", "otfs-one-path-qpsk"):
+        ops, gains, sym_idx, noise, points, cand_idx, cand_pts, hamming = (
+            make_batch(case, 42, sigma, 3000))
+        assert kernels.symbol_wise(ops) and kernels._sign_axes(points)
+        assert kernels.matrix_frame_errors(
+            ops, gains, sym_idx, noise, points, cand_idx, cand_pts,
+            hamming) == direct_diag_errors(
+                np.diagonal(ops, axis1=1, axis2=2), 1.0, gains, sym_idx,
+                noise, points, hamming)
+
+
+@pytest.mark.parametrize("scheme", ["bpsk", "qpsk"])
+def test_sign_slicer_ties_go_to_the_lower_index(scheme):
+    # y with one axis exactly 0 makes an axis of z = conj(scale lambda) y
+    # +0.0 or -0.0, by the signs of the gain and of y's other axis.  Neither
+    # zero is < 0, so that axis decides the lower point index, as the
+    # distance comparison's exact tie does; the other axis keeps its sign
+    const = make_constellation(scheme)
+    points, order = const.points, const.order
+    hamming = engine._hamming_table(const)
+    frames = [(g, sent, axis, other)
+              for g in (1.0, -1.0, 1j, -1j) for sent in range(order)
+              for axis in (0, 1) for other in (0.5, -0.5)]
+    gains = np.array([[g] for g, *_ in frames], dtype=np.complex128)
+    sym_idx = np.array([[sent] for _, sent, *_ in frames])
+    target = np.array([[other * 1j if axis == 0 else other]
+                       for _, _, axis, other in frames])
+    phi = np.ones((1, 1), dtype=np.complex128)
+    # the kernel's scale lambda and y, which is 0 exactly on the tied axis
+    sl = 1.0 * (np.zeros_like(gains) + gains * phi[0])
+    noise = target - np.multiply(sl, points[sym_idx])
+    y = np.multiply(sl, points[sym_idx]) + noise
+    assert np.all((y.real == 0) == (target.real == 0))
+    assert np.all((y.imag == 0) == (target.imag == 0))
+    z = np.conjugate(sl) * y
+    axes = (z.real, z.imag)[:kernels._sign_axes(points)]
+    for part in axes:
+        assert np.signbit(part[part == 0]).any()
+        assert not np.signbit(part[part == 0]).all()
+    det = np.zeros(len(frames), dtype=np.intp)
+    for part in axes:
+        # a zero goes to the lower index; any other value by its sign
+        det = 2 * det + ((part != 0) & (part < 0)).ravel()
+    per_frame = hamming[det, sym_idx[:, 0]]
+    want = (int(per_frame.sum()), int((per_frame ** 2).sum()))
+    batch = (phi, 1.0, gains, sym_idx, noise, points, hamming)
+    assert want[0] > 0
+    assert kernels.diag_frame_errors(*batch) == want == direct_diag_errors(*batch)
+
+
+@pytest.mark.parametrize("scheme,order", [("psk", 2), ("psk", 4), ("qam", 16)])
+def test_other_tables_keep_the_distance_loop(scheme, order):
+    # psk points of orders 2 and 4 are not exactly the BPSK and QPSK tables,
+    # so they are decided by the running minimum, as 16-QAM is
+    cfg = engine.SweepConfig(grid=OtfsGrid(M=2, N=2), scheme=scheme, order=order,
+                             paths=TWO_PATHS, waveform="ofdm", ofdm_chain="cp")
+    const = make_constellation(scheme, order)
+    assert kernels._sign_axes(const.points) == 0
+    phi, scale = cp_response(cfg)
+    errors = 0
+    for i, sigma in enumerate((1.0, 0.1, 1e-3)):
+        rng = make_stream(43, order, i)
+        gains = sample_nakagami_gains(cfg.paths, rng, 3000)
+        sym_idx = rng.integers(0, order, (3000, 4))
+        noise = (rng.standard_normal((3000, 4))
+                 + 1j * rng.standard_normal((3000, 4))) * (sigma / math.sqrt(2.0))
+        batch = (phi, scale, gains, sym_idx, noise, const.points,
+                 engine._hamming_table(const))
+        got = kernels.diag_frame_errors(*batch)
+        assert got == direct_diag_errors(*batch)
+        errors += got[0]
+    assert errors > 0
+
+
+def _copies(args):
+    return [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+
+
+def _unchanged(before, after):
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+               for a, b in zip(before, after))
+
+
+@pytest.mark.parametrize("frames", ["one", "blocks"])
+@pytest.mark.parametrize("case", ["cp-one-path-bpsk", "cp-two-path-qpsk"])
+def test_diag_kernel_writes_no_argument(case, frames):
+    # one frame makes the transposed symbol block a view of sym_idx
+    mn = diag_config(case).grid.frame_size
+    nf = 1 if frames == "one" else kernels._diag_rows(mn) + 3
+    batch = make_diag_batch(case, 44, 0.3, nf)
+    before = _copies(batch)
+    kernels.diag_frame_errors(*batch)
+    assert _unchanged(before, batch)
+
+
+@pytest.mark.parametrize("frames", ["one", "blocks"])
+@pytest.mark.parametrize("case", ["otfs-one-path-bpsk", "otfs-one-path-qpsk",
+                                  "otfs-two-path-qpsk"])
+def test_matrix_kernel_writes_no_argument(case, frames):
+    mn = CASES[case][0].frame_size
+    nf = 1 if frames == "one" else kernels._diag_rows(mn) + 3
+    batch = make_batch(case, 45, 0.3, nf)
+    before = _copies(batch)
+    kernels.matrix_frame_errors(*batch)
+    assert _unchanged(before, batch)
 
 
 @pytest.mark.parametrize("case", sorted(DIAG_CASES))
