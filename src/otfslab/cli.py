@@ -17,12 +17,13 @@ a key written over the config's (``_FLAG_KEYS``): ``--seed N`` is ``seed = N``.
 The ``figure`` and ``diversity`` presets are configs, budgets included: the
 200 000-frame cap of figures 3 and 4 is their ``max_frames``, which
 ``--frames-max`` replaces.
-Every CSV embeds a resolved config as ``# cfg key = value`` lines
-(``workers`` is ignored on reading).  Fed back through ``--config``, a
-``sweep``, ``compare`` or ``analytic`` CSV reproduces its data rows byte for
-byte; a ``figure`` CSV embeds only its first preset, whose rows ``compare``
-(figures 1, 2) or ``sweep`` (3, 4) reproduce, and a ``diversity`` CSV its
-first preset, the one-path pair whose curves ``compare`` reproduces.
+Every CSV embeds a resolved config as ``# cfg key = value`` lines; the
+retired keys older ones hold (``workers``, ``delta_f_hz``) are checked and
+ignored.  Fed back through ``--config``, a ``sweep``, ``compare`` or
+``analytic`` CSV reproduces its data rows byte for byte; a ``figure`` CSV
+embeds only its first preset, whose rows ``compare`` (figures 1, 2) or
+``sweep`` (3, 4) reproduce, and a ``diversity`` CSV its first preset, the
+one-path pair whose curves ``compare`` reproduces.
 ``--verbose`` (``sweep``, ``compare``, ``figure``) prints a line per running
 chain every ten batches (OTFS first), and a line of trials per semi-analytic
 point.
@@ -41,7 +42,7 @@ from operator import attrgetter
 from . import __version__, analytic, diversity, engine, kernels
 from .engine import BerCurve, SweepConfig
 from .errors import CapacityError, ConfigError, NumericError, OtfsLabError
-from .fading import PathSpec, eva_grid_placement, make_stream
+from .fading import PathSpec
 from .modem import OtfsGrid
 
 CSV_HEADER = "snr_db,ber_mc,ci_low,ci_high,ber_analytic,bit_errors,bits,waveform,preset"
@@ -69,12 +70,14 @@ INTERFERENCE_FREE_NOTE = ("warning: interference-free preset; points use the "
 # ---------------------------------------------------------------------------
 # Config file format: flat "key = value" lines and '#' comments; an unknown
 # or repeated key, or a line without '=', is a hard error.  An emitted CSV
-# reads as its '# cfg ' lines up to its header; "workers" is read and ignored.
+# reads as its '# cfg ' lines up to its header.
 # _KEYS holds the format: key -> (field on SweepConfig, or "grid.<field>",
 # parser, writer), in manifest order; path<n> and interferer<n> follow, any
 # n >= 1 written without leading zeros, read in increasing n.  An
 # unset key keeps SweepConfig's default (the grid: Table 2's).  "snr"
-# (start:step:stop, wins over snr_list) and "eva" are read, never written.
+# (start:step:stop, wins over snr_list) is read, never written.  So that
+# older manifests still load, a retired key (_RETIRED_KEYS) is read and
+# checked, never written, and sets nothing.
 # ---------------------------------------------------------------------------
 
 def _parse_path(text: str) -> PathSpec:
@@ -117,7 +120,6 @@ def _parse_snr(text: str) -> tuple:
 _KEYS = {
     "grid_m": ("grid.M", int, str),
     "grid_n": ("grid.N", int, str),
-    "delta_f_hz": ("grid.delta_f", float, repr),
     "scheme": ("scheme", str.lower, str),
     "order": ("order", int, str),
     "snr_list": ("snr_db", _parse_snr, lambda snr: ",".join(map(repr, snr))),
@@ -129,7 +131,16 @@ _KEYS = {
     "ofdm_chain": ("ofdm_chain", str, str),
     "preset": ("preset", str, str),
 }
-_KNOWN_KEYS = {*_KEYS, "snr", "eva", "workers"}
+
+
+def _finite_positive(text: str) -> None:
+    if not 0 < float(text) < math.inf:
+        raise ValueError("want a finite value > 0")
+
+
+# retired key -> its check: a worker count, and a subcarrier spacing in Hz
+_RETIRED_KEYS = {"workers": str, "delta_f_hz": _finite_positive}
+_KNOWN_KEYS = {*_KEYS, *_RETIRED_KEYS, "snr"}
 _NUMBERED_KEY = re.compile(r"(path|interferer)([1-9][0-9]*)")
 
 
@@ -161,11 +172,6 @@ def parse_config_text(text: str) -> dict:
     return kv
 
 
-def _parse_eva(text: str) -> tuple:
-    P, fc_hz, speed_mps = text.split(",")
-    return int(P), float(fc_hz), float(speed_mps)
-
-
 def _read(kv: dict, key: str, parse):
     try:
         return parse(kv[key])
@@ -175,6 +181,9 @@ def _read(kv: dict, key: str, parse):
 
 def config_from_kv(kv: dict) -> SweepConfig:
     """The SweepConfig the keys set; the keys left unset keep its defaults."""
+    for key, check in _RETIRED_KEYS.items():
+        if key in kv:
+            _read(kv, key, check)
     fields, grid = {}, {}
     for key, (field, parse, _) in _KEYS.items():
         if key in kv:
@@ -186,17 +195,9 @@ def config_from_kv(kv: dict) -> SweepConfig:
     if fields.get("scheme") == "qpsk":
         fields.setdefault("order", 4)
     paths = tuple(map(_parse_path, _numbered(kv, "path")))
-    if paths and "eva" in kv:
-        raise ConfigError("give either explicit paths or an eva directive, not both")
     interferers = tuple(tuple(_parse_path(chunk) for chunk in user.split(";"))
                         for user in _numbered(kv, "interferer"))
-    config = SweepConfig(**fields, paths=paths or SweepConfig.paths, interferers=interferers)
-    if "eva" in kv:
-        # the geometry is drawn from the seed and grid of a checked config
-        P, fc_hz, speed_mps = _read(kv, "eva", _parse_eva)
-        config = replace(config, paths=eva_grid_placement(
-            config.grid, fc_hz, speed_mps, P, make_stream(config.master_seed, 0xE7A)))
-    return config
+    return SweepConfig(**fields, paths=paths or SweepConfig.paths, interferers=interferers)
 
 
 def config_to_kv(config: SweepConfig) -> dict:
@@ -288,7 +289,7 @@ def parse_csv_rows(path) -> list:
 # ---------------------------------------------------------------------------
 
 def _table2_grid() -> OtfsGrid:
-    return OtfsGrid(M=2, N=2, delta_f=15e3)
+    return OtfsGrid(M=2, N=2)
 
 
 def figure_config(number: int, seed: int | None = None,

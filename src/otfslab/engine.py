@@ -39,9 +39,10 @@ class SweepConfig:
     accepts the same configs.  Construction raises ConfigError unless the
     SNR points are finite and strictly increasing; waveform, mode and
     ofdm_chain are known; the budgets are positive, the seed >= 0 and a
-    path is given; ``analytic.mod_params`` takes the scheme and order; and,
-    on the waveform route, each path's delay fits the grid: l <= MN - 1 on
-    OTFS, l <= L_cp = M - 1 on CP-OFDM."""
+    path is given; interferers are given only in simo-semianalytic mode,
+    the one route that reads them; ``analytic.mod_params`` takes the scheme
+    and order; and, on the waveform route, each path's delay fits the grid:
+    l <= MN - 1 on OTFS, l <= L_cp = M - 1 on CP-OFDM."""
 
     grid: OtfsGrid
     scheme: str = "bpsk"
@@ -75,6 +76,9 @@ class SweepConfig:
             raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
         if not self.paths:
             raise ConfigError("at least one desired path is required")
+        if self.interferers and self.mode != "simo-semianalytic":
+            raise ConfigError(f"interferers are read only in simo-semianalytic "
+                              f"mode, not in mode {self.mode!r}")
         analytic.mod_params(self.scheme, self.order)
         if self.mode == "siso-waveform":
             limit, what = ((_cp_ofdm_guard(self.grid)[0], "the CP length")

@@ -29,13 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
-
-SPEED_OF_LIGHT = 3.0e8  # m/s
-
-# 3GPP EVA power-delay profile: tap delays [ns] and relative powers [dB]
-EVA_DELAYS_NS = (0.0, 30.0, 150.0, 310.0, 370.0, 710.0, 1090.0, 1730.0, 2510.0)
-EVA_POWERS_DB = (0.0, -1.5, -1.4, -3.6, -0.6, -9.1, -7.0, -12.0, -16.9)
+from .errors import DomainError
 
 # Philox4x64 counter step: four 64-bit words, one per double drawn
 _PHILOX_WORDS = 4
@@ -154,39 +148,3 @@ def sample_total_power(specs, rng: np.random.Generator, size: int) -> np.ndarray
         _skip_doubles(rng, size)
     return total
 
-
-def max_doppler_hz(fc_hz: float, speed_mps: float) -> float:
-    """Maximum Doppler shift fc * v / c."""
-    return fc_hz * speed_mps / SPEED_OF_LIGHT
-
-
-def eva_grid_placement(grid, fc_hz: float, speed_mps: float, P: int,
-                       rng: np.random.Generator) -> tuple:
-    """Place P paths on the grid from the EVA profile with Jakes Doppler.
-
-    The strongest P EVA taps are kept, renormalized to unit total power, and
-    assigned to delay bins 0..P-1 as Rayleigh (m = 1) paths.  Each path's
-    Doppler is nu_max * cos(theta) with theta uniform, quantized to the
-    nearest integer Doppler bin (kappa = 0); at vehicular speeds and
-    kilohertz-scale bin widths every path quantizes to bin zero.
-    """
-    if P < 1:
-        raise ConfigError(f"need at least one path, got {P}")
-    if P > grid.M:
-        raise ConfigError(f"P = {P} exceeds the {grid.M} available delay bins")
-
-    powers_lin = np.array([10.0 ** (p / 10.0) for p in EVA_POWERS_DB])
-    strongest = np.sort(np.argsort(powers_lin)[::-1][:P])
-    omegas = powers_lin[strongest]
-    omegas = omegas / omegas.sum()
-
-    nu_max = max_doppler_hz(fc_hz, speed_mps)
-    frame_duration = grid.N * grid.T
-    specs = []
-    for p in range(P):
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        nu = nu_max * math.cos(theta)
-        k = int(round(nu * frame_duration))
-        specs.append(PathSpec(m=1, omega=float(omegas[p]),
-                              l=p, k=k, kappa=0.0))
-    return tuple(specs)

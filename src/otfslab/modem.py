@@ -24,24 +24,17 @@ DEFAULT_ML_CAP = 2 ** 20
 class OtfsGrid:
     """Delay-Doppler grid geometry: M delay bins, N Doppler bins.
 
-    The transmit and receive pulses are assumed rectangular, so their
-    windows are the identity and every transform below is a plain DFT.
+    Paths are placed in bins, so no spacing in Hz is kept.  The transmit
+    and receive pulses are assumed rectangular, so their windows are the
+    identity and every transform below is a plain DFT.
     """
 
     M: int
     N: int
-    delta_f: float = 15e3
 
     def __post_init__(self):
         if self.M < 1 or self.N < 1:
             raise ConfigError(f"grid must have M, N >= 1, got ({self.M}, {self.N})")
-        if self.delta_f <= 0:
-            raise ConfigError(f"subcarrier spacing must be positive, got {self.delta_f}")
-
-    @property
-    def T(self) -> float:
-        """Symbol duration; T * delta_f = 1."""
-        return 1.0 / self.delta_f
 
     @property
     def frame_size(self) -> int:

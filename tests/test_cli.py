@@ -29,7 +29,7 @@ class TestConfigFormat:
         cfg = SweepConfig(grid=OtfsGrid(M=2, N=2), scheme="qpsk", order=4,
                           paths=(PathSpec(m=1, omega=2 / 3, l=0),
                                  PathSpec(m=2, omega=1 / 3, l=1)),
-                          snr_db=(0.0, 10.0), master_seed=77,
+                          snr_db=(0.0, 10.0), master_seed=77, mode="simo-semianalytic",
                           interferers=((PathSpec(m=2, omega=0.015),),))
         back = config_from_kv(parse_config_text(
             "\n".join(f"{k} = {v}" for k, v in config_to_kv(cfg).items())))
@@ -39,7 +39,7 @@ class TestConfigFormat:
         cfg = SweepConfig(grid=OtfsGrid(M=2, N=2), scheme="qpsk", order=4,
                           paths=(PathSpec(m=1.5, omega=0.6, l=0),
                                  PathSpec(m=2, omega=0.4, l=1)),
-                          snr_db=(0.0, 10.0),
+                          snr_db=(0.0, 10.0), mode="simo-semianalytic",
                           interferers=((PathSpec(m=2.5, omega=0.015),),))
         kv = config_to_kv(cfg)
         assert kv["path1"].startswith("1.5,") and kv["path2"].startswith("2,")
@@ -118,7 +118,7 @@ def benchmark_presets(number, seed, frames):
     """The configs ``figure_config(number, seed, None, frames, 1)`` gave the
     benchmark while each budget was filled in per figure."""
     cap = SweepConfig.max_frames if frames is None else frames
-    base = dict(grid=OtfsGrid(M=2, N=2, delta_f=15e3), target_bit_errors=2000,
+    base = dict(grid=OtfsGrid(M=2, N=2), target_bit_errors=2000,
                 master_seed=seed, max_frames=cap)
     qpsk = dict(base, scheme="qpsk", order=4)
     semi = dict(qpsk, mode="simo-semianalytic", max_frames=min(cap, 200_000))
@@ -141,6 +141,35 @@ def benchmark_presets(number, seed, frames):
                         interferers=((PathSpec(m=2, omega=0.0075, l=0),
                                       PathSpec(m=2, omega=0.0075, l=1)),),
                         preset="fig4-m2-ku2", **semi)]
+
+
+# a compare CSV as written while the grid kept a subcarrier spacing, plus the
+# worker count manifests carried before that
+OLD_COMPARE_CSV = """\
+# otfslab 0.1.0 run manifest
+# generated: 2026-10-20T13:20:29.321238+00:00
+# cfg grid_m = 2
+# cfg grid_n = 2
+# cfg delta_f_hz = 15000.0
+# cfg scheme = bpsk
+# cfg order = 2
+# cfg snr_list = 0.0,10.0
+# cfg max_frames = 256
+# cfg target_errors = 200
+# cfg seed = 3
+# cfg workers = 4
+# cfg waveform = otfs
+# cfg mode = siso-waveform
+# cfg ofdm_chain = cp
+# cfg preset = custom
+# cfg path1 = 1,1.0,0,0,0.0
+# ofdm baseline: cp chain
+snr_db,ber_mc,ci_low,ci_high,ber_analytic,bit_errors,bits,waveform,preset
+0.000000e+00,1.406250e-01,1.206733e-01,1.632629e-01,1.464466e-01,144,1024,otfs,custom
+1.000000e+01,1.953125e-02,1.267854e-02,2.997537e-02,2.326871e-02,20,1024,otfs,custom
+0.000000e+00,1.806641e-01,1.583065e-01,2.054086e-01,1.837722e-01,185,1024,ofdm,custom
+1.000000e+01,3.125000e-02,2.222168e-02,4.378213e-02,3.374760e-02,32,1024,ofdm,custom
+"""
 
 
 def closed_form_curve(cfg, waveform="otfs"):
@@ -406,8 +435,8 @@ class TestCliCommands:
         assert "config error: cannot read" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["grid_m = two", "snr = 0:x:10",
-                                      "eva = 2,abc,30", "eva = 2,3e9",
-                                      "eva = 2,3e9,30,7,junk",
+                                      "delta_f_hz = nan", "delta_f_hz = inf",
+                                      "delta_f_hz = -1",
                                       "path1 = 2,1.0,0,0,0.0,junk"])
     def test_malformed_config_number_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
@@ -559,6 +588,40 @@ class TestCliCommands:
         assert "the only chain is 'cp'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "compare", "analytic"])
+    @pytest.mark.parametrize("mode_line", ["", "mode = simo-semianalytic\n"],
+                             ids=["default-mode", "siso-flag"])
+    def test_interferers_outside_simo_mode_exit_2(self, tmp_path, capsys, command,
+                                                  mode_line):
+        # only the semi-analytic route reads interferers, so the default mode,
+        # or --mode siso on a multi-user config, would drop them
+        cfg = tmp_path / "users.cfg"
+        cfg.write_text(mode_line + "scheme = qpsk\npath1 = 2,1.0\nsnr = 10\n"
+                       "interferer1 = 2,0.5\n")
+        out = tmp_path / "x.csv"
+        run = [command, "--config", str(cfg), "--out", str(out)]
+        budget = [] if command == "analytic" else fast_args()
+        siso = ["--mode", "siso"] if mode_line else []
+        assert main(run + siso + budget) == 2
+        assert ("config error: interferers are read only in simo-semianalytic "
+                "mode, not in mode 'siso-waveform'") in capsys.readouterr().err
+        assert not out.exists()
+        assert main(run + ["--mode", "simo"] + budget) == 0
+
+    def test_manifest_with_retired_keys_reloads(self, tmp_path):
+        # the retired keys set nothing, and ofdm_chain = cp is the default
+        bare = OLD_COMPARE_CSV
+        for line in ("delta_f_hz = 15000.0", "workers = 4", "ofdm_chain = cp"):
+            bare = bare.replace(f"# cfg {line}\n", "")
+        assert (config_from_kv(parse_config_text(OLD_COMPARE_CSV))
+                == config_from_kv(parse_config_text(bare)))
+        old, out = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text(OLD_COMPARE_CSV)
+        assert main(["compare", "--config", str(old), "--frames-max", "256",
+                     "--out", str(out)]) == 0
+        assert parse_csv_rows(out) == parse_csv_rows(old)
+        assert "delta_f_hz" not in out.read_text()
+
     def test_negative_delay_bin_exits_2(self, tmp_path, capsys):
         # the CP chain would roll a negative delay into a valid one
         cfg = tmp_path / "neg.cfg"
@@ -633,16 +696,16 @@ class TestCliCommands:
                 "must be >= 0.5, got 0.3") in capsys.readouterr().err
 
     def test_seed_flag_is_the_seed_key(self, tmp_path):
-        # an eva directive draws its geometry from the seed, flag or key
-        text = "grid_n = 8\neva = 2,30e9,40\n"
-        cfg = tmp_path / "eva.cfg"
-        cfg.write_text(text)
-        args = cli.build_parser().parse_args(["sweep", "--config", str(cfg),
-                                              "--seed", "5"])
-        flagged = cli._load_config(args)
-        keyed = config_from_kv(parse_config_text(text + "seed = 5\n"))
-        assert flagged == keyed
-        assert [(p.l, p.k) for p in flagged.paths] == [(0, 2), (1, 1)]
+        # the sweep's draws come from the seed, flag or key
+        def rows(text, *flags):
+            cfg, out = tmp_path / "s.cfg", tmp_path / "s.csv"
+            cfg.write_text("snr_list = 0.0,10.0\n" + text)
+            assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                         "--frames-max", "256", *flags]) == 0
+            return parse_csv_rows(out)
+        flagged = rows("", "--seed", "5")
+        assert flagged == rows("seed = 5\n")
+        assert flagged != rows("seed = 6\n")
 
     def test_two_psk_columns_equal_bpsk(self, tmp_path):
         # 2-PSK is BPSK: the same frames and the same closed form

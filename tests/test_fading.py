@@ -1,4 +1,4 @@
-"""Nakagami-m sampling statistics, EVA placement, and stream determinism."""
+"""Nakagami-m sampling statistics and stream determinism."""
 
 import math
 import tracemalloc
@@ -8,9 +8,8 @@ import pytest
 from scipy import stats
 
 from otfslab import fading
-from otfslab.errors import ConfigError, DomainError
+from otfslab.errors import DomainError
 from otfslab.fading import PathSpec, make_stream
-from otfslab.modem import OtfsGrid
 
 
 class TestPathSpec:
@@ -242,39 +241,3 @@ class TestTotalPower:
                 tracemalloc.stop()
             assert peak <= 1.25 * 8 * size, name
 
-
-class TestEvaPlacement:
-    def test_max_doppler_value(self):
-        # 4 GHz carrier at 120 km/h
-        nu = fading.max_doppler_hz(4e9, 120 / 3.6)
-        assert abs(nu - 444.4) < 0.1
-
-    def test_doppler_quantizes_to_zero_at_bench_parameters(self):
-        grid = OtfsGrid(M=2, N=2, delta_f=15e3)
-        # Doppler bin width 1/(N T) = 7.5 kHz dwarfs the 444 Hz physical shift
-        for trial in range(50):
-            specs = fading.eva_grid_placement(grid, 4e9, 120 / 3.6, 2,
-                                              make_stream(22, trial))
-            assert all(s.k == 0 for s in specs)
-            assert all(s.kappa == 0.0 for s in specs)
-
-    def test_single_tap_is_unit_power(self):
-        grid = OtfsGrid(M=2, N=2)
-        specs = fading.eva_grid_placement(grid, 4e9, 120 / 3.6, 1, make_stream(23, 0))
-        assert len(specs) == 1
-        assert abs(specs[0].omega - 1.0) < 1e-12
-        assert specs[0].l == 0
-
-    def test_two_taps_use_strongest_profile_entries(self):
-        grid = OtfsGrid(M=2, N=2)
-        specs = fading.eva_grid_placement(grid, 4e9, 120 / 3.6, 2, make_stream(24, 0))
-        assert [s.l for s in specs] == [0, 1]
-        # strongest two EVA taps are 0 dB and -0.6 dB
-        expected = np.array([1.0, 10 ** (-0.06)])
-        expected = expected / expected.sum()
-        assert np.allclose([s.omega for s in specs], expected, rtol=1e-12)
-
-    def test_too_many_paths_rejected(self):
-        grid = OtfsGrid(M=2, N=2)
-        with pytest.raises(ConfigError):
-            fading.eva_grid_placement(grid, 4e9, 33.3, 3, make_stream(25, 0))

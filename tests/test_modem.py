@@ -21,10 +21,6 @@ def random_frame(grid):
 
 
 class TestGrid:
-    def test_t_deltaf_product(self):
-        grid = OtfsGrid(M=2, N=2, delta_f=15e3)
-        assert abs(grid.T * grid.delta_f - 1.0) < 1e-15
-
     def test_dimensions_validated(self):
         with pytest.raises(ConfigError):
             OtfsGrid(M=0, N=2)
