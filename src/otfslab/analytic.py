@@ -13,10 +13,10 @@ Gamma(m_z, omega_z) variate.  multiuser_ber averages A*Q(sqrt(2 B SINR)) with
 SINR = (Es/N0) / (1 + S) through specfun.erfc_gamma_average, and
 semi_analytic_mc_ber estimates it from drawn interference powers.
 
-scipy loads on first use, not when this module is imported: in
-specfun.erfc_gamma_average (so multiuser_ber) and in semi_analytic_mc_ber
-(scipy.special.erfc).  The Monte Carlo sweeps and siso_ber are numpy only,
-and their cold start does not pay for the scipy import.
+Of scipy only scipy.special loads, on first use, not on import: erfcx in
+specfun.erfc_gamma_average (a trapezoid rule in ln W, so multiuser_ber) and
+erfc in semi_analytic_mc_ber.  The Monte Carlo sweeps and siso_ber are numpy
+only, and their cold start does not load scipy.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Subcommands:
     sweep      Monte Carlo sweep plus the matching closed-form curve.
     analytic   closed-form-only curve on a dense SNR grid.
     compare    paired OTFS vs OFDM run, each batch of channel/noise
-               realizations drawn once and fed to both chains.
+               realizations drawn once and fed to both chains; it pairs
+               waveform chains only, so simo-semianalytic mode exits 2.
     diversity  empirical slope report next to the closed-form approximations.
     figure     paper-replication presets (1-4).
 
@@ -60,6 +61,10 @@ FIG3_INTERFERER_OMEGA = 0.015
 MATCHED_FILTER_NOTE = ("note: with more than one path, ber_analytic is the "
                        "matched-filter (full-diversity) bound over the summed "
                        "path SNRs, not a prediction of uncoded ML OTFS")
+# Every semi-analytic manifest says what its route reads.
+SEMIANALYTIC_NOTE = ("note: simo-semianalytic reads the SNR, the modulation and "
+                     "the interferers, not the paths or grid; the desired link "
+                     "is unfaded, SINR = (Es/N0)/(1 + S)")
 # A semi-analytic config without interferers has a deterministic SINR;
 # emit_csv labels it.
 INTERFERENCE_FREE_NOTE = ("warning: interference-free preset; points use the "
@@ -246,6 +251,8 @@ def _manifest(cfg: SweepConfig | None, notes=()) -> list:
         lines.append(f"# {note}")
     if cfg is not None and cfg.mode == "siso-waveform" and len(cfg.paths) > 1:
         lines.append(f"# {MATCHED_FILTER_NOTE}")
+    if cfg is not None and cfg.mode == "simo-semianalytic":
+        lines.append(f"# {SEMIANALYTIC_NOTE}")
     if cfg is not None and cfg.mode == "simo-semianalytic" and not cfg.interferers:
         lines.append(f"# {INTERFERENCE_FREE_NOTE}")
     return lines
@@ -444,9 +451,7 @@ def cmd_compare(args) -> int:
              notes=[f"ofdm baseline: {cfg.ofdm_chain} chain"])
     for wf, curve in (("otfs", otfs), ("ofdm", ofdm)):
         last = curve.points[-1]
-        # semi-analytic points count no bits, so they have no error count
-        errors = f" ({last.bit_errors} errors)" if last.bits > 0 else ""
-        print(f"{wf}: BER {last.ber:.4e} at {last.snr_db:g} dB{errors}")
+        print(f"{wf}: BER {last.ber:.4e} at {last.snr_db:g} dB ({last.bit_errors} errors)")
     return 0
 
 

@@ -40,9 +40,13 @@ class SweepConfig:
     SNR points are finite and strictly increasing; waveform, mode and
     ofdm_chain are known; the budgets are positive, the seed >= 0 and a
     path is given; interferers are given only in simo-semianalytic mode,
-    the one route that reads them; ``analytic.mod_params`` takes the scheme
-    and order; and, on the waveform route, each path's delay fits the grid:
-    l <= MN - 1 on OTFS, l <= L_cp = M - 1 on CP-OFDM."""
+    the one route that reads them, and that mode, which reads no waveform,
+    keeps OTFS; ``analytic.mod_params`` takes the scheme and order; and, on
+    the waveform route, each path's delay fits the grid: l <= MN - 1 on
+    OTFS, l <= L_cp = M - 1 on CP-OFDM.  The simo-semianalytic route reads
+    the SNR, the modulation and the interferers: its desired link is
+    unfaded, SINR = (Es/N0)/(1 + S), so its paths and grid are checked,
+    not read."""
 
     grid: OtfsGrid
     scheme: str = "bpsk"
@@ -79,6 +83,9 @@ class SweepConfig:
         if self.interferers and self.mode != "simo-semianalytic":
             raise ConfigError(f"interferers are read only in simo-semianalytic "
                               f"mode, not in mode {self.mode!r}")
+        if self.waveform != "otfs" and self.mode == "simo-semianalytic":
+            raise ConfigError(f"simo-semianalytic mode reads no waveform, so it "
+                              f"takes the default 'otfs', not {self.waveform!r}")
         analytic.mod_params(self.scheme, self.order)
         if self.mode == "siso-waveform":
             limit, what = ((_cp_ofdm_guard(self.grid)[0], "the CP length")
@@ -329,14 +336,8 @@ def _run_semianalytic(config: SweepConfig, progress=None) -> BerCurve:
 
 def paired_comparison(config: SweepConfig, progress=None) -> tuple:
     """(OTFS curve, OFDM curve) over identical channel/noise realizations,
-    each equal to ``run_sweep`` of its own config.  Waveform modes run one
-    pass that draws each batch once; ``progress`` hears each chain fed.
-
-    The semi-analytic route does not read the waveform, so it runs once and
-    the OFDM curve is the OTFS one under the OFDM config; ``progress`` hears
-    each point once."""
+    each equal to ``run_sweep`` of its own config: one pass that draws each
+    batch once; ``progress`` hears each chain fed.  A simo-semianalytic
+    config reads no waveform, so its OFDM config raises ConfigError."""
     configs = (replace(config, waveform="otfs"), replace(config, waveform="ofdm"))
-    if config.mode == "simo-semianalytic":
-        curve = _run_semianalytic(configs[0], progress)
-        return curve, replace(curve, waveform="ofdm", config=configs[1])
     return _run_waveform(configs, progress)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import resource
 
 import pytest
 
@@ -102,6 +103,19 @@ def test_figure_run_records_cpu_rss_and_minor_faults(tmp_path, monkeypatch):
     assert rec["minflt"] >= 64_000_000 // os.sysconf("SC_PAGE_SIZE") // 2
     assert rec["wall_s"] >= rec["cpu_s"] * 0.5 >= 0
     assert ab_bench.data_rows(str(csv)) == ["1,2\n"]
+
+
+def test_figure_run_peak_rss_is_the_childs_own(tmp_path, monkeypatch):
+    # a child forked from this process starts its ru_maxrss at this
+    # process's high-water mark, raised here past 64 MB; a bare interpreter
+    # peaks far below that
+    b = b"x" * 64_000_000
+    del b
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 >= 64_000_000
+    monkeypatch.setattr(ab_bench, "FIGURE_MAIN", "pass")
+    rec = ab_bench.figure_run(ab_bench.ROOT, "change", 3, str(tmp_path / "f.csv"))
+    assert rec["rc"] == 0
+    assert 0 < rec["peak_rss_mb"] < 48
 
 
 def test_higher_is_better_sign():

@@ -350,21 +350,29 @@ class TestCliCommands:
         waveforms = {row[7] for row in parse_csv_rows(out)}
         assert waveforms == {"otfs", "ofdm"}
 
-    def test_compare_prints_error_counts_only_where_bits_are_counted(
-            self, tmp_path, capsys):
-        cfg = tmp_path / "simo.cfg"
-        cfg.write_text("mode = simo-semianalytic\nscheme = qpsk\npath1 = 2,1.0\n"
-                       "interferer1 = 1,0.01;2,0.005,1;3,0.002,0,1\n")
+    def test_compare_prints_error_counts(self, tmp_path, capsys):
         out = tmp_path / "cmp.csv"
-        assert main(["compare", "--config", str(cfg), "--snr", "0:10:10",
-                     "--out", str(out)] + fast_args()) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert [ln.split(":")[0] for ln in lines] == ["otfs", "ofdm"]
-        assert not any("errors" in ln for ln in lines)
         assert main(["compare", "--snr", "6:2:8", "--out", str(out)]
                     + fast_args()) == 0
-        assert all(ln.endswith(" errors)")
-                   for ln in capsys.readouterr().out.splitlines())
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split(":")[0] for ln in lines] == ["otfs", "ofdm"]
+        assert all(ln.endswith(" errors)") for ln in lines)
+
+    @pytest.mark.parametrize("command", ["compare --mode simo",
+                                         "sweep --mode simo --waveform ofdm"])
+    def test_simo_mode_with_an_ofdm_waveform_exits_2(self, tmp_path, capsys,
+                                                     command):
+        # the semi-analytic route reads no waveform, so there is no OFDM
+        # curve for compare to pair with the OTFS one
+        cfg = tmp_path / "simo.cfg"
+        cfg.write_text("scheme = qpsk\npath1 = 2,1.0\n"
+                       "interferer1 = 1,0.01;2,0.005,1;3,0.002,0,1\n")
+        out = tmp_path / "x.csv"
+        assert main(command.split() + ["--config", str(cfg), "--out", str(out)]
+                    + fast_args()) == 2
+        assert ("config error: simo-semianalytic mode reads no waveform"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_figure1_preset_grid(self, tmp_path):
         out = tmp_path / "fig1.csv"
@@ -397,6 +405,19 @@ class TestCliCommands:
             assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 0
             assert (note in out.read_text().splitlines()) == labeled, name
 
+    def test_semianalytic_note_follows_the_mode(self, tmp_path):
+        # every semi-analytic manifest, with users or without, says once what
+        # its route reads
+        note = f"# {cli.SEMIANALYTIC_NOTE}"
+        simo = "mode = simo-semianalytic\n"
+        cases = {"siso": ("", 0), "simo": (simo, 1),
+                 "simo-users": (simo + "interferer1 = 2,0.5\n", 1)}
+        for name, (text, count) in cases.items():
+            cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+            cfg.write_text("snr = 0:10:20\n" + text)
+            assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 0
+            assert out.read_text().splitlines().count(note) == count, name
+
     def test_figure3_degeneracy_warning_in_manifest(self, tmp_path):
         out = tmp_path / "fig3.csv"
         rc = main(["figure", "3", "--out", str(out), "--frames-max", "20000"])
@@ -406,9 +427,8 @@ class TestCliCommands:
         assert "ASSUMED interferer power" in text
 
     @pytest.mark.parametrize("command", [
-        "analytic --mode simo", "compare --mode simo --frames-max 20000",
-        "sweep --mode simo --frames-max 20000", "figure 3 --frames-max 20000",
-        "figure 4 --frames-max 20000"])
+        "analytic --mode simo", "sweep --mode simo --frames-max 20000",
+        "figure 3 --frames-max 20000", "figure 4 --frames-max 20000"])
     def test_interference_free_note_once(self, tmp_path, capsys, command):
         out = tmp_path / "x.csv"
         assert main(command.split() + ["--out", str(out)]) == 0
@@ -606,7 +626,8 @@ class TestCliCommands:
         assert ("config error: interferers are read only in simo-semianalytic "
                 "mode, not in mode 'siso-waveform'") in capsys.readouterr().err
         assert not out.exists()
-        assert main(run + ["--mode", "simo"] + budget) == 0
+        # compare pairs an OFDM chain, which simo mode also refuses
+        assert main(run + ["--mode", "simo"] + budget) == (2 if command == "compare" else 0)
 
     def test_manifest_with_retired_keys_reloads(self, tmp_path):
         # the retired keys set nothing, and ofdm_chain = cp is the default

@@ -488,27 +488,6 @@ class TestSemiAnalyticMode:
             run_sweep(cfg, progress=lambda pt, *rest: seen.append(pt))
         assert seen == [0, 1, 2]
 
-    def test_paired_run_computes_each_point_once(self, monkeypatch):
-        # the semi-analytic route does not read the waveform: one run gives
-        # both curves, each equal to its own run_sweep
-        cfg = semianalytic_configs()["mixed"]
-        alone = tuple(run_sweep(dataclasses.replace(cfg, waveform=w))
-                      for w in ("otfs", "ofdm"))
-        original = analytic.semi_analytic_mc_ber
-        calls = collections.Counter()
-
-        def counting(es_n0, *args, **kwargs):
-            calls[es_n0] += 1
-            return original(es_n0, *args, **kwargs)
-
-        monkeypatch.setattr(analytic, "semi_analytic_mc_ber", counting)
-        seen = []
-        paired = engine.paired_comparison(cfg, progress=lambda *a: seen.append(a[0]))
-        assert paired == alone
-        assert [c.waveform for c in paired] == ["otfs", "ofdm"]
-        assert sorted(calls.values()) == [1] * len(cfg.snr_db)
-        assert seen == list(range(len(cfg.snr_db)))
-
     def test_usable_cores_is_a_positive_count(self):
         assert 1 <= engine._usable_cores() <= (os.cpu_count() or 1)
 

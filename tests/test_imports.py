@@ -1,4 +1,5 @@
-"""Cold start: the Monte Carlo and SISO routes never import scipy.
+"""Cold start: the Monte Carlo and SISO routes never import scipy, and the
+multi-user routes never import scipy.integrate.
 
 pytest and the other tests load scipy into this process, so each check runs
 in a fresh interpreter and reports what it computed as JSON; the values are
@@ -45,6 +46,7 @@ semi = analytic.semi_analytic_mc_ber(10.0, ((PathSpec(m=2, omega=0.3),),), mod,
                                      otfslab.make_stream(7, 0), 20_000)
 print(json.dumps({"package": otfslab.__file__, "before": before,
                   "loaded": bool(scipy_modules()),
+                  "integrate": "scipy.integrate" in sys.modules,
                   "multiuser": multiuser, "semi": list(semi)}))
 """
 
@@ -74,6 +76,8 @@ def test_monte_carlo_and_siso_routes_leave_scipy_unloaded(tmp_path):
     assert (tmp_path / "pair.csv").stat().st_size > 0
     # the scipy routes load it on first use and give this process's values
     assert out["loaded"]
+    # the Gamma average is a trapezoid rule of its own, not scipy's quad
+    assert not out["integrate"]
     mod = analytic.mod_params("qpsk")
     interferer = ((PathSpec(m=2, omega=0.3),),)
     approx = analytic.gamma_approx(*analytic.sinr_moments(10.0, interferer))

@@ -17,7 +17,8 @@ name: unlike self time, that reading does not depend on which span a
 benchmark hook took as a parent.
 ``--figure N`` times ``otfslab figure N`` on both sides, alternating, and
 compares the CSV data rows; each record has wall and CPU seconds, which
-differ when the program or its BLAS runs threads.
+differ when the program or its BLAS runs threads, and the peak RSS that the
+figure's process reports of itself.
 
 The JSON written to ``--out`` holds every run and, per workload and metric
 listed in ``BENCHMARK.json``, the median and quartiles of each side, the
@@ -37,6 +38,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -49,6 +51,11 @@ SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 900
 FIGURE_REPEATS = 2
 FIGURE_MAIN = "import sys; from otfslab.cli import main; sys.exit(main(sys.argv[1:]))"
+# The ru_maxrss that wait4 returns for a child is at least the high-water mark
+# of the process it was forked from (Linux carries it across exec), so a figure
+# run writes its own peak, VmHWM, to stderr as it exits.
+PEAK_REPORT = ("import atexit, sys; atexit.register(lambda: sys.stderr.write(''.join("
+               "ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:'))))")
 GAIN_WIN_SHARE = 0.9
 SWEEP_SPAN = "bench.sweep"   # the span perfbench/run.py opens around each sweep
 
@@ -188,16 +195,21 @@ def figure_run(root: str, side: str, number: int, csv_path: str) -> dict:
     """Wall and CPU seconds, peak RSS and minor page faults of one
     `otfslab figure N` in its own process."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    cmd = [sys.executable, "-c", FIGURE_MAIN, "figure", str(number), "--out", csv_path]
-    t0 = perf_counter()
-    proc = subprocess.Popen(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = perf_counter() - t0
+    cmd = [sys.executable, "-c", f"{PEAK_REPORT}\n{FIGURE_MAIN}", "figure", str(number),
+           "--out", csv_path]
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as err:
+        t0 = perf_counter()
+        proc = subprocess.Popen(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                                stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = perf_counter() - t0
+        err.seek(0)
+        hwm = re.search(r"^VmHWM:\s*(\d+) kB", err.read(), re.MULTILINE)
     proc.returncode = os.waitstatus_to_exitcode(status)
+    peak_kb = int(hwm[1]) if hwm else usage.ru_maxrss   # without /proc, an upper bound
     return {"command": f"otfslab figure {number}", "side": side, "rc": proc.returncode,
             "wall_s": round(wall, 3), "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
-            "peak_rss_mb": round(usage.ru_maxrss * 1024 / 1e6, 1),
+            "peak_rss_mb": round(peak_kb * 1024 / 1e6, 1),
             "minflt": usage.ru_minflt}
 
 
