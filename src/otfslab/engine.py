@@ -245,11 +245,12 @@ def _run_waveform(configs: tuple, progress=None) -> tuple:
     equal to a sweep of its own: every (seed, point, batch) is drawn once and
     fed, in config order, to each chain still short of its stop rule.
 
-    Every chain is its path operators, stacked once, fed batch by batch to
-    ``kernels.matrix_frame_errors``, which picks the search from the
-    operators' structure (symbol-wise, or one search per independent block)
-    and builds the candidates it reads; the ML capacity bounds the chain's
-    largest block, not its frame."""
+    Every chain is its path operators, stacked and planned once
+    (``kernels.plan``: symbol-wise, or one search per independent block,
+    with the candidates it reads), then fed batch by batch to
+    ``kernels.matrix_frame_errors``, which finds that plan memoized.  The
+    ML capacity bounds the chain's largest block, not its frame, and a
+    chain over it raises ``CapacityError`` before the first draw."""
     config = configs[0]
     mn = config.grid.frame_size
     constellation = modem.make_constellation(config.scheme, config.order)
@@ -259,6 +260,9 @@ def _run_waveform(configs: tuple, progress=None) -> tuple:
     hamming = _hamming_table(constellation)
     chains = [np.stack([_path_operator(spec, c) for spec in c.paths])
               for c in configs]
+    for ops in chains:
+        # a chain over the ML capacity raises here, before any draw
+        kernels.plan(ops, points)
 
     rows = [[] for _ in configs]
     for pt_idx, snr_db in enumerate(config.snr_db):

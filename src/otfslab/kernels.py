@@ -10,11 +10,33 @@ Exhaustive ML minimises the expanded metric
                     + sum_{p,q} conj(h_p) h_q G[p,q,c]
 
 with ``<u, v> = u^H v`` and ``G[p,q,c] = <A_p c, A_q c>``.  ``||y||^2`` is the
-same for every candidate and is dropped.  The candidate images ``A_p c`` and
-the Gram terms are computed once per call, so the metric of a chunk of frames
-against all candidates is one real matrix product: per-frame features (the
-gain products ``conj(h_p) h_q`` and ``h_p conj(y)``) times per-candidate
-columns (``G`` and ``A_p c``).  No per-frame channel matrix is formed.
+same for every candidate and is dropped.  The metric of a chunk of frames
+against all candidates is then one real matrix product: per-frame features
+(the gain products ``conj(h_p) h_q`` and ``h_p conj(y)``) times
+per-candidate columns (``G`` and ``A_p c``).  No per-frame channel matrix is
+formed.
+
+One plan per operator set.  ``plan(A_ops, points)`` decides the route and
+builds what it reads: on the symbol-wise route the operators' diagonals, on
+the block route each block's symbols, lexicographic candidate table and
+real weight matrix.  It is memoized on the contents of its arguments (a
+small LRU; a ``CapacityError`` is raised again on every call, never kept),
+so ``matrix_frame_errors`` plans a chain on its first batch and looks the
+plan up on every later one, and a sweep that plans its chains at set-up
+fails there, before any draw.  ``matrix_frame_errors`` keeps its
+``cand_idx`` and ``cand_pts`` parameters for the callers that still pass
+them; it reads neither.
+
+The block search runs frame-major, out of one arena.  ``y`` is formed as
+(MN, F), so each symbol's frames are one contiguous row: ``A_p x`` for
+every path in one batched product, scaled by the path's gain row and added
+to a copy of the noise.  Each feature column is one 1-D product written into
+a row-major (F, w) complex array, and its float64 view, whose rows
+interleave real and imaginary parts, times the block's weights (rows
+interleaving Re and -Im) is the chunk's (F, C) metric in one dgemm, with
+the argmin over contiguous rows.  The batch-sized work arrays are carved out
+of a single allocation per call (``_block_frame_errors``).  No kernel writes
+to its arguments.
 
 Ties resolve to the lowest candidate index (``np.argmin`` returns the first
 minimiser and candidates are enumerated in lexicographic order), the rule of
@@ -72,12 +94,18 @@ formula, and then decides each symbol one of two ways:
   decisions are bit-identical to it.
 
 Either way the lowest point index per symbol is the lexicographically first
-joint minimiser, the rule of ``modem.ml_detect``.
+joint minimiser, the rule of ``modem.ml_detect``.  A decision's bit errors
+are ``hamming[decision, sent]``; on the sign slicer, when ``hamming`` is
+``popcount(i ^ j)`` of the two indices (``make_constellation``'s BPSK and
+Gray QPSK labels are the indices in binary), they are counted as the set
+bits of ``decision ^ sent`` on uint8 arrays instead of gathered.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,6 +136,14 @@ def _chunk_rows(n_cand: int) -> int:
 
 def _per_frame_totals(per_frame: np.ndarray) -> tuple:
     return int(per_frame.sum()), int((per_frame ** 2).sum())
+
+
+def _check_no_negative(sym_idx) -> None:
+    """Raise IndexError for a negative symbol index.  An index past the
+    points raises where the points are gathered, but numpy reads a negative
+    one from the end, which would count errors against a wrong symbol."""
+    if sym_idx.size and sym_idx.min() < 0:
+        raise IndexError(f"symbol index {sym_idx.min()} is negative")
 
 
 def _aligned(nbytes: int) -> int:
@@ -146,7 +182,7 @@ def symbol_wise(A_ops) -> bool:
     """True when ``matrix_frame_errors`` detects frames over these path
     operators symbol by symbol: no operator links two symbols, i.e. every
     ``independent_blocks`` block has one symbol and every frame's channel is
-    diagonal.  Such batches build no candidate table."""
+    diagonal.  Such operator sets plan no candidate table."""
     links = _support(A_ops)
     np.fill_diagonal(links, False)
     return not links.any()
@@ -169,43 +205,114 @@ def independent_blocks(A_ops) -> list:
     return [np.flatnonzero(lowest == i) for i in np.unique(lowest)]
 
 
+class _Block(NamedTuple):
+    """One block's search: its symbols ``idx`` (ascending), the lexicographic
+    (C, s) candidate index table ``cand`` of those symbols, and the real
+    (2w, C) weights ``W`` with w = P^2 + P s.  Column c of the complex weights
+    is [G[p, q, c] for p, q; (A_p c)_i for p, i], and the rows of ``W``
+    interleave (Re, -Im) of each, so that ``feat.view(float64) @ W`` is
+    Re(feat . column) for a complex feature row ``feat`` of length w."""
+
+    idx: np.ndarray
+    cand: np.ndarray
+    W: np.ndarray
+
+
+class _Plan(NamedTuple):
+    """A set of path operators' search: ``phi`` (P, MN), the operators'
+    diagonals, on the symbol-wise route, else None and one ``_Block`` per
+    independent block in ``blocks``."""
+
+    phi: np.ndarray | None
+    blocks: tuple
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    # every call that finds the plan in the memo shares its arrays
+    a.flags.writeable = False
+    return a
+
+
+def _block_search(A_ops, points, blocks) -> tuple:
+    """The ``_Block`` of each symbol index set in blocks; raises
+    ``CapacityError`` when a block has too many candidates."""
+    P = len(A_ops)
+    out = []
+    for b in blocks:
+        b = np.array(b, dtype=np.intp)
+        cand = modem.candidate_indices(len(points), len(b))
+        C = len(cand)
+        # AC[p, c] = A_p c restricted to the block
+        AC = np.matmul(points[cand][None], A_ops[:, b[:, None], b].transpose(0, 2, 1))
+        G = np.einsum("pci,qci->pqc", AC.conj(), AC)
+        Wc = np.concatenate([G.reshape(P * P, C),
+                             AC.transpose(0, 2, 1).reshape(P * len(b), C)])
+        # Re(a b) = Re a Re b - Im a Im b
+        W = np.empty((2 * len(Wc), C))
+        W[0::2] = Wc.real
+        W[1::2] = -Wc.imag
+        out.append(_Block(_readonly(b), cand, _readonly(W)))
+    return tuple(out)
+
+
+# Operator sets whose plans ``plan`` keeps; a sweep runs at most two chains
+# at a time.
+_PLAN_MEMO = 8
+
+
+@functools.lru_cache(maxsize=_PLAN_MEMO)
+def _memo_plan(shape, dtype, ops_bytes, pshape, pdtype, points_bytes) -> _Plan:
+    A_ops = np.frombuffer(ops_bytes, dtype).reshape(shape)
+    points = np.frombuffer(points_bytes, pdtype).reshape(pshape)
+    if symbol_wise(A_ops):
+        return _Plan(_readonly(np.diagonal(A_ops, axis1=1, axis2=2).copy()), ())
+    return _Plan(None, _block_search(A_ops, points, independent_blocks(A_ops)))
+
+
+def plan(A_ops, points) -> _Plan:
+    """The ML search of these path operators over these points, built once:
+    the route, and on the block route each block's candidate table and
+    weights.  Memoized on the arrays' contents (shape, dtype and bytes), at
+    most ``_PLAN_MEMO`` operator sets, least recently used out first; raises
+    ``CapacityError`` when the largest block has too many candidates, on
+    every call, as no failed plan is kept."""
+    A_ops, points = np.asarray(A_ops), np.asarray(points)
+    return _memo_plan(A_ops.shape, A_ops.dtype.str, A_ops.tobytes(),
+                      points.shape, points.dtype.str, points.tobytes())
+
+
 def matrix_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
                         cand_pts, hamming) -> tuple:
     """(bit errors, sum of squared per-frame errors) over a batch of frames.
 
     A_ops (P, MN, MN) path operators; gains (F, P); sym_idx (F, MN) indices
-    into points; noise (F, MN); hamming (order, order) bit distances.
-    cand_idx and cand_pts are not read and may be None: each block's
-    candidates are built here.
+    into points; noise (F, MN); hamming (order, order) bit distances.  No
+    argument is written to.  cand_idx and cand_pts are not read and may be
+    None: the search's candidates come from ``plan(A_ops, points)``.
 
     Exact ML with ``ml_detect``'s tie rule, by ``independent_blocks`` (module
-    docstring):
+    docstring), on the route that the memoized ``plan`` holds:
 
-    - every block one symbol (``symbol_wise``, checked first): the batch
-      goes to ``diag_frame_errors`` with ``phi = diag(A_p)`` and unit scale;
+    - every block one symbol (``symbol_wise``): the batch goes to
+      ``diag_frame_errors`` with ``phi = diag(A_p)`` and unit scale;
     - otherwise one search per block over the lexicographic table of its
       symbols (``modem.candidate_indices``), one block being the joint
-      search; building the tables raises ``CapacityError`` when the largest
-      block has too many candidates.
+      search; planning raises ``CapacityError`` when the largest block has
+      too many candidates.
     """
-    if symbol_wise(A_ops):
-        return diag_frame_errors(np.diagonal(A_ops, axis1=1, axis2=2), 1.0,
-                                 gains, sym_idx, noise, points, hamming)
-    blocks = independent_blocks(A_ops)
-    tables = []
-    for b in blocks:
-        idx = modem.candidate_indices(len(points), len(b))
-        tables.append((idx, points[idx]))
-    return _block_frame_errors(A_ops, blocks, tables, gains, sym_idx, noise,
-                               points, hamming)
+    p = plan(A_ops, points)
+    if p.phi is not None:
+        return diag_frame_errors(p.phi, 1.0, gains, sym_idx, noise, points,
+                                 hamming)
+    return _block_frame_errors(A_ops, p.blocks, gains, sym_idx, noise, points,
+                               hamming)
 
 
-def _block_frame_errors(A_ops, blocks, tables, gains, sym_idx, noise, points,
+def _block_frame_errors(A_ops, blocks, gains, sym_idx, noise, points,
                         hamming) -> tuple:
-    """``matrix_frame_errors`` by one search per block: block k holds the
-    symbols ``blocks[k]`` and ``tables[k]`` is its (index, symbol) candidate
-    table.  One block over all symbols does the arithmetic of a single joint
-    search.
+    """``matrix_frame_errors`` by one search per ``_Block`` of blocks, frame-
+    major (module docstring).  One block over all symbols does the
+    arithmetic of a single joint search.
 
     The batch-sized work arrays are carved out of one allocation per call,
     the arrays of successive steps from the same bytes.  Freed, that block
@@ -214,71 +321,63 @@ def _block_frame_errors(A_ops, blocks, tables, gains, sym_idx, noise, points,
     of a few hundred KiB they let glibc trim and regrow its heap on every
     batch, and the page faults cost more than the smaller search saves.
     """
+    _check_no_negative(sym_idx)
     P, MN, _ = A_ops.shape
     F = len(gains)
     ctype = np.result_type(points, A_ops, gains, noise)
     rtype = np.finfo(ctype).dtype
-    itype = tables[0][0].dtype
-    smax = max(len(b) for b in blocks)
-    n_metric = max(min(_chunk_rows(len(pts)), F) * len(pts) for _, pts in tables)
-    kept = [((F, MN), ctype), ((F, P), ctype), ((F, P * P), ctype),
-            ((F,), np.intp), ((F, MN), itype)]
-    steps = ([((F, MN), points.dtype), ((P, F, MN), ctype)],
-             [((F * smax,), ctype), ((F * P * smax,), ctype),
-              ((F * 2 * (P * P + P * smax),), rtype), ((n_metric,), rtype),
-              ((F * smax,), itype)],
-             [((F, MN), hamming.dtype)])
+    n_feat = P * P + P * max(len(blk.idx) for blk in blocks)
+    n_metric = max(min(_chunk_rows(blk.W.shape[1]), F) * blk.W.shape[1]
+                   for blk in blocks)
+    kept = [((MN, F), ctype), ((P, F), ctype), ((F,), np.intp), ((MN, F), np.intp)]
+    steps = ([((MN, F), points.dtype), ((P, MN, F), ctype)],
+             [((F, n_feat), ctype), ((n_metric,), rtype)],
+             [((MN, F), hamming.dtype)])
     n_work = max(_nbytes(step) for step in steps)
     arena = np.empty(_nbytes(kept) + n_work, np.uint8)
-    y, h, gp, best, det = _carve(arena, kept)
+    y, g, best, det = _carve(arena, kept)
     work = arena[arena.size - n_work:]
 
     # y = sum_p h_p A_p x + noise
     x, ax = _carve(work, steps[0])
-    np.take(points, sym_idx, out=x)
-    np.einsum("fp,pfi->fi", gains, np.matmul(x, A_ops.transpose(0, 2, 1), out=ax),
-              out=y)
-    y += noise
-    # features [conj(h_p) h_q, -2 h_p conj(y_i)] of the block's symbols i
-    np.conjugate(gains, out=h)
-    np.multiply(h[:, :, None], gains[:, None, :], out=gp.reshape(F, P, P))
-    np.multiply(-2.0, gains, out=h)
-    yb_all, t_all, feat_all, metric_all, db_all = _carve(work, steps[1])
-    for b, (cand_idx, cand_pts) in zip(blocks, tables):
-        s, C = len(b), len(cand_pts)
-        A = A_ops[:, b[:, None], b]
-        # metric[f, c] - ||y_f||^2 = Re(feat[f] . W[:, c]) with
-        # W[:, c] = [G[p, q, c], (A_p c)_i]
-        AC = np.matmul(cand_pts[None], A.transpose(0, 2, 1))
-        G = np.einsum("pci,qci->pqc", AC.conj(), AC)
-        W = np.concatenate([G.reshape(P * P, C),
-                            AC.transpose(0, 2, 1).reshape(P * s, C)])
-        # Re(a . b) = [Re a, Im a] . [Re b, -Im b]: one real product per chunk
-        W = np.concatenate([W.real, -W.imag])
-        yb = np.take(y, b, axis=1, out=yb_all[:F * s].reshape(F, s), mode="clip")
-        t = t_all[:F * P * s].reshape(F, P * s)
-        np.multiply(h[:, :, None], np.conjugate(yb, out=yb)[:, None, :],
-                    out=t.reshape(F, P, s))
+    np.take(points, sym_idx.T, out=x)
+    np.matmul(A_ops, x, out=ax)
+    np.copyto(g, gains.T)
+    np.copyto(y, noise.T)
+    for p in range(P):
+        y += np.multiply(ax[p], g[p], out=ax[p])
+    # features [conj(h_p) h_q, -2 h_p conj(y_i)]: the gain products of every
+    # block, then each block's own columns
+    feat_all, metric_all = _carve(work, steps[1])
+    for p in range(P):
+        hp = np.conjugate(g[p])
+        for q in range(P):
+            np.multiply(hp, g[q], out=feat_all[:, p * P + q])
+    g *= -2.0
+    np.conjugate(y, out=y)
+    for blk in blocks:
+        s, C = len(blk.idx), blk.W.shape[1]
         w = P * P + P * s
-        feat = feat_all[:F * 2 * w].reshape(F, 2 * w)
-        feat[:, :P * P] = gp.real
-        feat[:, P * P:w] = t.real
-        feat[:, w:w + P * P] = gp.imag
-        feat[:, w + P * P:] = t.imag
+        for p in range(P):
+            for j, i in enumerate(blk.idx):
+                np.multiply(g[p], y[i], out=feat_all[:, P * P + p * s + j])
+        # metric[f, c] - ||y_f||^2 = Re(feat[f] . W[:, c]), one real product
+        # per chunk of frames
+        feat = feat_all[:, :w].view(rtype)
         rows = _chunk_rows(C)
         metric = metric_all[:min(rows, F) * C].reshape(-1, C)
         for lo in range(0, F, rows):
             n = min(rows, F - lo)
-            np.argmin(np.matmul(feat[lo:lo + n], W, out=metric[:n]), axis=1,
+            np.argmin(np.matmul(feat[lo:lo + n], blk.W, out=metric[:n]), axis=1,
                       out=best[lo:lo + n])
-        det[:, b] = np.take(cand_idx, best, axis=0,
-                            out=db_all[:F * s].reshape(F, s), mode="clip")
+        for j, i in enumerate(blk.idx):
+            np.take(blk.cand[:, j], best, out=det[i], mode="clip")
     # bit errors per symbol from the flat (decision, sent) index
     det *= len(points)
-    det += sym_idx
+    det += sym_idx.T
     errors, = _carve(work, steps[2])
     np.take(hamming.ravel(), det, out=errors, mode="clip")
-    return _per_frame_totals(errors.sum(axis=1))
+    return _per_frame_totals(errors.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +391,13 @@ def _block_frame_errors(A_ops, blocks, tables, gains, sym_idx, noise, points,
 # docstring), as (table, sign axes): BPSK reads Re z, Gray QPSK Re z and Im z.
 _SIGN_SLICED = ((modem.make_constellation("bpsk").points, 1),
                 (modem.make_constellation("qpsk").points, 2))
+
+# popcount(i ^ j) for the 2^axes point indices i, j of a sign-sliced table:
+# the bit distances when each point's label is its index in binary
+_INDEX_BIT_DISTANCES = {
+    axes: np.array([[bin(i ^ j).count("1") for j in range(2 ** axes)]
+                    for i in range(2 ** axes)])
+    for _, axes in _SIGN_SLICED}
 
 
 def _diag_rows(mn: int) -> int:
@@ -322,20 +428,25 @@ def diag_frame_errors(phi, scale, gains, sym_idx, noise, points, hamming) -> tup
     index; decisions equal the distance comparison except where ``|Re z|``
     or ``|Im z|`` is at rounding level.  Any other table takes a running
     minimum of the distances, bit-identical to the direct formula's argmin.
+    Bit errors are read from ``hamming``, or, on the sign slicer with
+    ``hamming[i, j] = popcount(i ^ j)``, counted from the index bits.
     """
+    _check_no_negative(sym_idx)
     P, MN = phi.shape
     F = len(gains)
     order = len(points)
     scale = float(scale)
     ham = hamming.ravel()
     axes = _sign_axes(points)
+    # the decision's bits that differ from the sent index's are the errors
+    bit_xor = axes and np.array_equal(hamming, _INDEX_BIT_DISTANCES[axes])
     det_type = np.min_scalar_type(order - 1)
     per_frame = np.empty(F, dtype=np.int64)
     rows = _diag_rows(MN)
     for lo in range(0, F, rows):
         s = slice(lo, lo + rows)
-        lam = np.zeros((MN, len(gains[s])), dtype=np.complex128)
-        for p in range(P):
+        lam = gains[s, 0] * phi[0][:, None]
+        for p in range(1, P):
             lam += gains[s, p] * phi[p][:, None]
         sl = scale * lam
         # a view of the caller's sym_idx when the block holds one frame
@@ -363,5 +474,13 @@ def diag_frame_errors(phi, scale, gains, sym_idx, noise, points, hamming) -> tup
                 np.maximum(det, (dist < best).view(np.uint8) * det_type.type(c),
                            out=det)
                 np.minimum(best, dist, out=best)
-        per_frame[s] = ham[det.astype(np.intp) * order + sym].sum(axis=0)
+        if bit_xor:
+            # det is this block's own uint8 array; an error pattern e of
+            # QPSK's two bits has e - (e >> 1) of them set
+            det ^= sym.astype(np.uint8)
+            if axes == 2:
+                det -= det >> 1
+            per_frame[s] = det.sum(axis=0)
+        else:
+            per_frame[s] = ham[det.astype(np.intp) * order + sym].sum(axis=0)
     return _per_frame_totals(per_frame)

@@ -116,6 +116,20 @@ class TestRunSweep:
         with pytest.raises(CapacityError):
             run_sweep(cfg)
 
+    def test_capacity_error_raises_before_any_draw(self, monkeypatch):
+        # the chain is planned at set-up, so the 4^16-candidate block raises
+        # before the first batch is drawn
+        def no_draw(*args):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(engine, "sample_nakagami_gains", no_draw)
+        cfg = SweepConfig(grid=OtfsGrid(M=4, N=4), scheme="qpsk", order=4,
+                          paths=(PathSpec(m=1, omega=1.0, l=1, kappa=0.3),),
+                          snr_db=(0.0,), max_frames=100, target_bit_errors=10)
+        with pytest.raises(CapacityError) as err:
+            run_sweep(cfg)
+        assert err.value.required == 4 ** 16
+
     def test_capacity_follows_the_largest_block(self):
         # a delayed path on a 21x2 BPSK grid leaves 2 blocks of 21 symbols:
         # 2^21 candidates each exceed the cap although no table of the whole

@@ -12,6 +12,8 @@ against the joint search on figure-1 batches.  Integer delays split the
 frame into several blocks: the figure-2 shape and a 4x2 delayed path run
 the per-frame and direct-metric checks, a synthetic operator has blocks of
 unequal size, and a spy pins which of the three routes each operator takes.
+Each operator set is planned once, in a bounded memo that keeps no plan
+that raised CapacityError.
 
 The diagonal kernel is checked on CP-OFDM frames against exhaustive joint ML
 over all ``order^MN`` symbol vectors, which tests the per-subcarrier
@@ -36,6 +38,7 @@ import numpy as np
 import pytest
 
 from otfslab import cli, engine, kernels, modem
+from otfslab.errors import CapacityError
 from otfslab.fading import PathSpec, make_stream, sample_nakagami_gains
 from otfslab.modem import DdFrame, OtfsGrid, make_constellation
 
@@ -91,10 +94,12 @@ def make_batch(case, seed, sigma, nf):
 def joint_search(ops, gains, sym_idx, noise, points, cand_idx, cand_pts,
                  hamming):
     """The kernel's search over all candidates at once: one block of every
-    symbol, whatever the operators' structure."""
-    return kernels._block_frame_errors(
-        ops, [np.arange(ops.shape[1])], [(cand_idx, cand_pts)], gains, sym_idx,
-        noise, points, hamming)
+    symbol, whatever the operators' structure, over the caller's table."""
+    blocks = kernels._block_search(ops, points, [np.arange(ops.shape[1])])
+    assert np.array_equal(blocks[0].cand, cand_idx)
+    assert np.array_equal(points[blocks[0].cand], cand_pts)
+    return kernels._block_frame_errors(ops, blocks, gains, sym_idx, noise,
+                                       points, hamming)
 
 
 def direct_metric_errors(ops, gains, sym_idx, noise, points, cand_idx,
@@ -167,13 +172,16 @@ def test_matrix_kernel_ties_resolve_to_lowest_index():
 
 def test_matrix_kernel_rejects_an_out_of_range_symbol_index():
     # a symbol index past the constellation raises, as indexing the points
-    # does, on the block and the one-block route
-    for case in ("otfs-two-path-qpsk", "otfs-fractional-doppler"):
-        batch = list(make_batch(case, 7, 0.3, 16))
-        batch[2] = batch[2].copy()
-        batch[2][3, 1] = len(batch[4])
-        with pytest.raises(IndexError):
-            kernels.matrix_frame_errors(*batch)
+    # does, and so does a negative one, which numpy would read from the end;
+    # on the block, the one-block and the symbol-wise route
+    for case in ("otfs-two-path-qpsk", "otfs-fractional-doppler",
+                 "otfs-one-path-qpsk"):
+        for bad in (make_constellation(CASES[case][1]).order, -1):
+            batch = list(make_batch(case, 7, 0.3, 16))
+            batch[2] = batch[2].copy()
+            batch[2][3, 1] = bad
+            with pytest.raises(IndexError):
+                kernels.matrix_frame_errors(*batch)
 
 
 def test_matrix_kernel_counts_do_not_depend_on_chunking(monkeypatch):
@@ -350,11 +358,12 @@ def test_only_one_diagonal_operator_takes_the_symbol_wise_route(
         calls.append("diagonal")
         return diag(*args)
 
-    def block_spy(A_ops, parts, tables, *args):
+    def block_spy(A_ops, parts, *args):
         calls.append("blocks" if len(parts) > 1 else "one block")
         if len(parts) == 1:
-            assert np.array_equal(tables, [(cand_idx, cand_pts)])
-        return blocks(A_ops, parts, tables, *args)
+            assert np.array_equal(parts[0].cand, cand_idx)
+            assert np.array_equal(points[parts[0].cand], cand_pts)
+        return blocks(A_ops, parts, *args)
 
     monkeypatch.setattr(kernels, "diag_frame_errors", diag_spy)
     monkeypatch.setattr(kernels, "_block_frame_errors", block_spy)
@@ -400,6 +409,70 @@ def test_block_route_peak_allocation_on_a_figure2_batch():
 
     assert peak(kernels.matrix_frame_errors) < 2 << 20
     assert peak(joint_search) > 4 << 20
+
+
+def _spy_blocks(monkeypatch):
+    """A list that grows by one each time ``independent_blocks`` runs."""
+    calls = []
+    blocks = kernels.independent_blocks
+
+    def spy(A_ops):
+        calls.append(A_ops.shape)
+        return blocks(A_ops)
+
+    monkeypatch.setattr(kernels, "independent_blocks", spy)
+    return calls
+
+
+def test_the_plan_is_built_once_per_operator_set(monkeypatch):
+    # several batches over the figure-2 operators, and an equal copy of
+    # them in another array, plan the search once
+    kernels._memo_plan.cache_clear()
+    calls = _spy_blocks(monkeypatch)
+    ops, _, _, _, points, *_ = make_batch("otfs-two-path-qpsk", 3, 0.3, 1)
+    for seed in range(4):
+        batch = make_batch("otfs-two-path-qpsk", seed, 0.3, 64)
+        assert kernels.matrix_frame_errors(*batch) == direct_metric_errors(*batch)
+    assert kernels.plan(ops.copy(), points.copy()) is kernels.plan(ops, points)
+    assert len(calls) == 1
+    # other points are another search
+    kernels.plan(ops, 2 * points)
+    assert len(calls) == 2
+
+
+def test_the_plan_memo_is_bounded(monkeypatch):
+    kernels._memo_plan.cache_clear()
+    calls = _spy_blocks(monkeypatch)
+    ops, _, _, _, points, *_ = make_batch("otfs-two-path-qpsk", 3, 0.3, 1)
+    scaled = [(1.0 + k) * ops for k in range(kernels._PLAN_MEMO + 3)]
+    for A in scaled:
+        kernels.plan(A, points)
+    info = kernels._memo_plan.cache_info()
+    assert info.currsize == info.maxsize == kernels._PLAN_MEMO
+    assert len(calls) == len(scaled)
+    # the least recently used set left the memo, the latest did not
+    kernels.plan(scaled[-1], points)
+    assert len(calls) == len(scaled)
+    kernels.plan(scaled[0], points)
+    assert len(calls) == len(scaled) + 1
+
+
+def test_a_capacity_error_is_raised_on_every_call():
+    # a fractional Doppler joins a 4x4 QPSK frame into one block of 4^16
+    # candidates; no failed plan is kept, so each call raises again
+    kernels._memo_plan.cache_clear()
+    ops = path_ops(OtfsGrid(M=4, N=4),
+                   (PathSpec(m=1, omega=1.0, l=1, kappa=0.3),), "otfs")
+    const = make_constellation("qpsk")
+    gains = np.ones((2, 1), dtype=complex)
+    sym_idx = np.zeros((2, 16), dtype=np.int64)
+    noise = np.zeros((2, 16), dtype=complex)
+    for _ in range(2):
+        with pytest.raises(CapacityError) as err:
+            kernels.matrix_frame_errors(ops, gains, sym_idx, noise, const.points,
+                                        None, None, engine._hamming_table(const))
+        assert err.value.required == 4 ** 16
+        assert kernels._memo_plan.cache_info().currsize == 0
 
 
 def test_active_backend_reports_known_name():
@@ -573,6 +646,24 @@ def test_sign_slicer_matches_direct_formula(sigma):
                 noise, points, hamming)
 
 
+@pytest.mark.parametrize("labels", ["index-bits", "symbol-errors", "reversed"])
+@pytest.mark.parametrize("case", ["cp-one-path-bpsk", "cp-two-path-qpsk"])
+def test_sign_slicer_counts_any_bit_distances(case, labels):
+    # the engine's Gray tables are popcount(det ^ sent), which the kernel
+    # counts from the index bits; any other table is read entry by entry
+    batch = list(make_diag_batch(case, 43, 1.0, 3000))
+    hamming = batch[6]
+    order = len(hamming)
+    assert np.array_equal(hamming, kernels._INDEX_BIT_DISTANCES[order.bit_length() - 1])
+    if labels == "symbol-errors":
+        batch[6] = 1 - np.eye(order, dtype=np.int64)
+    elif labels == "reversed":
+        batch[6] = 3 * hamming[::-1, ::-1] + np.arange(order)
+    got = kernels.diag_frame_errors(*batch)
+    assert got[0] > 0
+    assert got == direct_diag_errors(*batch)
+
+
 @pytest.mark.parametrize("scheme", ["bpsk", "qpsk"])
 def test_sign_slicer_ties_go_to_the_lower_index(scheme):
     # y with one axis exactly 0 makes an axis of z = conj(scale lambda) y
@@ -641,7 +732,10 @@ def _copies(args):
 
 
 def _unchanged(before, after):
-    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+    """Every array argument equal byte for byte, every other one equal."""
+    return all((a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+               if isinstance(a, np.ndarray) else a == b
                for a, b in zip(before, after))
 
 
@@ -657,15 +751,23 @@ def test_diag_kernel_writes_no_argument(case, frames):
     assert _unchanged(before, batch)
 
 
-@pytest.mark.parametrize("frames", ["one", "blocks"])
+@pytest.mark.parametrize("frames", ["one", "2048", "blocks"])
 @pytest.mark.parametrize("case", ["otfs-one-path-bpsk", "otfs-one-path-qpsk",
-                                  "otfs-two-path-qpsk"])
+                                  "otfs-two-path-qpsk", "otfs-fractional-doppler",
+                                  "ofdm-shared-two-path-qpsk"])
 def test_matrix_kernel_writes_no_argument(case, frames):
+    # the symbol-wise, block and one-block routes; a one-frame slice of a
+    # batch makes each transposed input a view of the caller's array
     mn = CASES[case][0].frame_size
-    nf = 1 if frames == "one" else kernels._diag_rows(mn) + 3
+    nf = {"one": 4, "2048": 2048, "blocks": kernels._diag_rows(mn) + 3}[frames]
     batch = make_batch(case, 45, 0.3, nf)
     before = _copies(batch)
-    kernels.matrix_frame_errors(*batch)
+    if frames == "one":
+        for f in range(nf):
+            kernels.matrix_frame_errors(
+                *(a[f:f + 1] if i in (1, 2, 3) else a for i, a in enumerate(batch)))
+    else:
+        kernels.matrix_frame_errors(*batch)
     assert _unchanged(before, batch)
 
 
