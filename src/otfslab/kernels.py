@@ -64,41 +64,34 @@ Entries within the tolerance are numerical residue of the DFT round trip;
 detection neglects them, so it can differ from the full metric only where
 two candidates' distances agree to about that tolerance.
 
-Blocks of one symbol are the diagonal case (``symbol_wise``): then
-``H = sum_p h_p A_p`` is diagonal for every gain draw, with
-``lambda = sum_p h_p phi_p`` on its diagonal (``phi_p = diag(A_p)``), and
-each symbol's lowest minimising point index is the lexicographically first
-joint minimiser.  This holds for the CP-OFDM chain always (the per-symbol
-DFT diagonalises each path's circulant delay) and for one path with
-l = k = kappa = 0, whose operator is the identity up to the DFT round trip.
+Blocks of one symbol are the diagonal case: then ``H = sum_p h_p A_p`` is
+diagonal for every gain draw, with ``lambda = sum_p h_p phi_p`` on its
+diagonal (``phi_p = diag(A_p)``), and each symbol's lowest minimising point
+index is the lexicographically first joint minimiser.  This holds for the
+CP-OFDM chain always (the per-symbol DFT diagonalises each path's circulant
+delay) and for one path with l = k = kappa = 0, whose operator is the
+identity up to the DFT round trip.  Such operators take the symbol-wise
+route when ``points`` also equal ``modem.make_constellation``'s BPSK
+``[1, -1]`` or Gray QPSK ``[(+-1 +-j)/sqrt 2]`` table exactly (a property
+of the input, so no option selects it); with any other table they are
+searched as one-symbol blocks, ``order`` candidates per symbol, and ties
+still go to the lowest lexicographic index.
+
 The symbol-wise kernel works on ``(MN, frames)`` arrays, frames on the long
 contiguous axis, about ``_DIAG_BLOCK_SYMBOLS`` symbols at a time so the
 temporaries stay cache-resident.  It forms ``y = (scale lambda) p + noise``
 with the operations, and operand order, of the direct ``(F, MN, order)``
-formula, and then decides each symbol one of two ways:
-
-- a sign slicer when ``points`` equal ``modem.make_constellation``'s BPSK
-  ``[1, -1]`` or Gray QPSK ``[(+-1 +-j)/sqrt 2]`` table exactly (a property
-  of the input, so no option selects it).  Every point has the same modulus,
-  so ``|y - (scale lambda) p_c|^2`` is least where ``Re(conj(p_c) z)`` is
-  greatest, with ``z = conj(scale lambda) y``: BPSK decides
-  ``Re z < 0`` and QPSK ``2 (Re z < 0) + (Im z < 0)``.  A zero, -0.0
-  included, is not ``< 0``, so a tie goes to the lower point index.
-  Decisions equal the distance comparison except where ``|Re z|`` or
-  ``|Im z|`` is at rounding level.
-- for every other table, a running minimum over the points in index order:
-  a decision moves to point ``c`` only where ``d_c`` is strictly smaller
-  than the best so far, so ties resolve to the lowest point index as
-  ``np.argmin`` does.  Each ``d_c = |y - (scale lambda) p_c|^2`` is formed
-  as the direct formula forms it, without its array, so distances and
-  decisions are bit-identical to it.
-
-Either way the lowest point index per symbol is the lexicographically first
-joint minimiser, the rule of ``modem.ml_detect``.  A decision's bit errors
-are ``hamming[decision, sent]``; on the sign slicer, when ``hamming`` is
-``popcount(i ^ j)`` of the two indices (``make_constellation``'s BPSK and
-Gray QPSK labels are the indices in binary), they are counted as the set
-bits of ``decision ^ sent`` on uint8 arrays instead of gathered.
+formula, and decides each symbol by a sign slicer.  Every point has the same
+modulus, so ``|y - (scale lambda) p_c|^2`` is least where
+``Re(conj(p_c) z)`` is greatest, with ``z = conj(scale lambda) y``: BPSK
+decides ``Re z < 0`` and QPSK ``2 (Re z < 0) + (Im z < 0)``.  A zero, -0.0
+included, is not ``< 0``, so a tie goes to the lower point index.  Decisions
+equal the distance comparison except where ``|Re z|`` or ``|Im z|`` is at
+rounding level.  A decision's bit errors are ``hamming[decision, sent]``;
+when ``hamming`` is ``popcount(i ^ j)`` of the two indices
+(``make_constellation``'s BPSK and Gray QPSK labels are the indices in
+binary), they are counted as the set bits of ``decision ^ sent`` on uint8
+arrays instead of gathered.
 """
 
 from __future__ import annotations
@@ -178,16 +171,6 @@ def _support(A_ops) -> np.ndarray:
     return (mag > _DIAGONAL_RTOL * mag.max(axis=(1, 2), keepdims=True)).any(axis=0)
 
 
-def symbol_wise(A_ops) -> bool:
-    """True when ``matrix_frame_errors`` detects frames over these path
-    operators symbol by symbol: no operator links two symbols, i.e. every
-    ``independent_blocks`` block has one symbol and every frame's channel is
-    diagonal.  Such operator sets plan no candidate table."""
-    links = _support(A_ops)
-    np.fill_diagonal(links, False)
-    return not links.any()
-
-
 def independent_blocks(A_ops) -> list:
     """The symbol index sets that no operator mixes (module docstring): the
     connected components of the operators' joint support, each as ascending
@@ -202,7 +185,10 @@ def independent_blocks(A_ops) -> list:
             break
         reach = wider
     lowest = reach.argmax(axis=1)
-    return [np.flatnonzero(lowest == i) for i in np.unique(lowest)]
+    # a block's lowest index is its own lowest; not np.unique, which imports
+    # numpy.ma (about 1 MB resident) into runs that plan no other search
+    return [np.flatnonzero(lowest == i)
+            for i in np.flatnonzero(lowest == np.arange(len(lowest)))]
 
 
 class _Block(NamedTuple):
@@ -220,8 +206,9 @@ class _Block(NamedTuple):
 
 class _Plan(NamedTuple):
     """A set of path operators' search: ``phi`` (P, MN), the operators'
-    diagonals, on the symbol-wise route, else None and one ``_Block`` per
-    independent block in ``blocks``."""
+    diagonals, on the symbol-wise route (every block one symbol, and a
+    sign-sliced table), else None and one ``_Block`` per independent block
+    in ``blocks``."""
 
     phi: np.ndarray | None
     blocks: tuple
@@ -264,9 +251,10 @@ _PLAN_MEMO = 8
 def _memo_plan(shape, dtype, ops_bytes, pshape, pdtype, points_bytes) -> _Plan:
     A_ops = np.frombuffer(ops_bytes, dtype).reshape(shape)
     points = np.frombuffer(points_bytes, pdtype).reshape(pshape)
-    if symbol_wise(A_ops):
+    blocks = independent_blocks(A_ops)
+    if all(len(b) == 1 for b in blocks) and _sign_axes(points):
         return _Plan(_readonly(np.diagonal(A_ops, axis1=1, axis2=2).copy()), ())
-    return _Plan(None, _block_search(A_ops, points, independent_blocks(A_ops)))
+    return _Plan(None, _block_search(A_ops, points, blocks))
 
 
 def plan(A_ops, points) -> _Plan:
@@ -293,12 +281,14 @@ def matrix_frame_errors(A_ops, gains, sym_idx, noise, points, cand_idx,
     Exact ML with ``ml_detect``'s tie rule, by ``independent_blocks`` (module
     docstring), on the route that the memoized ``plan`` holds:
 
-    - every block one symbol (``symbol_wise``): the batch goes to
-      ``diag_frame_errors`` with ``phi = diag(A_p)`` and unit scale;
+    - every block one symbol and ``points`` the BPSK or Gray QPSK table:
+      the batch goes to ``diag_frame_errors`` with ``phi = diag(A_p)`` and
+      unit scale;
     - otherwise one search per block over the lexicographic table of its
       symbols (``modem.candidate_indices``), one block being the joint
-      search; planning raises ``CapacityError`` when the largest block has
-      too many candidates.
+      search and one-symbol blocks the diagonal case of any other table;
+      planning raises ``CapacityError`` when the largest block has too many
+      candidates.
     """
     p = plan(A_ops, points)
     if p.phi is not None:
@@ -421,26 +411,27 @@ def diag_frame_errors(phi, scale, gains, sym_idx, noise, points, hamming) -> tup
     noise (F, MN); hamming (order, order) bit distances.  No argument is
     written to.
 
-    Exact ML with ``ml_detect``'s tie rule (module docstring).  When
-    ``points`` are exactly ``make_constellation``'s BPSK or Gray QPSK table,
-    each symbol is decided by the signs of ``z = conj(scale lambda) y``,
-    ``Re z < 0`` or ``2 (Re z < 0) + (Im z < 0)``, a zero going to the lower
-    index; decisions equal the distance comparison except where ``|Re z|``
-    or ``|Im z|`` is at rounding level.  Any other table takes a running
-    minimum of the distances, bit-identical to the direct formula's argmin.
-    Bit errors are read from ``hamming``, or, on the sign slicer with
-    ``hamming[i, j] = popcount(i ^ j)``, counted from the index bits.
+    Exact ML (module docstring) for ``make_constellation``'s BPSK and Gray
+    QPSK tables: each symbol is decided by the signs of
+    ``z = conj(scale lambda) y``, ``Re z < 0`` or
+    ``2 (Re z < 0) + (Im z < 0)``, and a zero goes to the lower index, so
+    ties go to the lowest lexicographic index.  Any other table raises
+    ``ValueError``; ``matrix_frame_errors`` searches it.  Bit errors are
+    read from ``hamming``, or, with ``hamming[i, j] = popcount(i ^ j)``,
+    counted from the index bits.
     """
+    axes = _sign_axes(points)
+    if not axes:
+        raise ValueError("diag_frame_errors decides only the BPSK and Gray "
+                         "QPSK tables; matrix_frame_errors searches any other")
     _check_no_negative(sym_idx)
     P, MN = phi.shape
     F = len(gains)
     order = len(points)
     scale = float(scale)
     ham = hamming.ravel()
-    axes = _sign_axes(points)
     # the decision's bits that differ from the sent index's are the errors
-    bit_xor = axes and np.array_equal(hamming, _INDEX_BIT_DISTANCES[axes])
-    det_type = np.min_scalar_type(order - 1)
+    bit_xor = np.array_equal(hamming, _INDEX_BIT_DISTANCES[axes])
     per_frame = np.empty(F, dtype=np.int64)
     rows = _diag_rows(MN)
     for lo in range(0, F, rows):
@@ -454,26 +445,12 @@ def diag_frame_errors(phi, scale, gains, sym_idx, noise, points, hamming) -> tup
         # a call, not `sl * points[sym]`: numpy may evaluate an operator whose
         # right operand is a large temporary with the operands swapped
         y = np.multiply(sl, points[sym]) + np.ascontiguousarray(noise[s].T)
-        if axes:
-            # z = conj(scale lambda) y, into y: sl and y are this block's own
-            z = np.multiply(np.conjugate(sl, out=sl), y, out=y)
-            det = (z.real < 0).view(np.uint8)
-            if axes == 2:
-                det = det << 1
-                det |= (z.imag < 0).view(np.uint8)
-        else:
-            det = np.zeros(sym.shape, dtype=det_type)
-            for c in range(order):
-                diff = y - sl * points[c]
-                dist = diff.real ** 2 + diff.imag ** 2
-                if c == 0:
-                    best = dist
-                    continue
-                # c grows, so the last strict improvement is the largest c
-                # that improved: the first minimiser, as np.argmin picks it
-                np.maximum(det, (dist < best).view(np.uint8) * det_type.type(c),
-                           out=det)
-                np.minimum(best, dist, out=best)
+        # z = conj(scale lambda) y, into y: sl and y are this block's own
+        z = np.multiply(np.conjugate(sl, out=sl), y, out=y)
+        det = (z.real < 0).view(np.uint8)
+        if axes == 2:
+            det = det << 1
+            det |= (z.imag < 0).view(np.uint8)
         if bit_xor:
             # det is this block's own uint8 array; an error pattern e of
             # QPSK's two bits has e - (e >> 1) of them set

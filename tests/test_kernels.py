@@ -25,9 +25,11 @@ amplitude passed as the separate ``scale``; the engine folds that amplitude
 into the path operators instead, and the engine tests pin that this moves
 no count.  BPSK and Gray QPSK take the sign slicer: its counts are checked
 against the direct formula down to sigma = 1e-3, also through the matrix
-kernel's symbol-wise route, and on ties built at +0.0 and -0.0; psk tables
-of orders 2 and 4, which are not those tables exactly, keep the distance
-loop.  Neither kernel writes to its arguments.
+kernel's symbol-wise route, and on ties built at +0.0 and -0.0.  The
+diagonal kernel refuses every other table; the matrix kernel searches it as
+one-symbol blocks, checked against the direct formula for 16-QAM, 512-PSK
+and the psk tables of orders 2 and 4, which are not the BPSK and QPSK
+tables exactly.  Neither kernel writes to its arguments.
 """
 
 import math
@@ -215,7 +217,7 @@ def test_diagonal_route_counts_equal_the_joint_search():
         const = make_constellation(cfg.scheme, cfg.order)
         mn = cfg.grid.frame_size
         ops = np.stack([engine._path_operator(s, cfg) for s in cfg.paths])
-        assert kernels.symbol_wise(ops)
+        assert kernels.plan(ops, const.points).phi is not None
         cand_idx, cand_pts = modem.enumerate_candidates(const, mn)
         hamming = engine._hamming_table(const)
         nf = engine.BATCH_FRAMES
@@ -239,8 +241,8 @@ def test_diagonal_route_ties_resolve_to_candidate_0():
     # and the symbol-wise route picks point 0 on every symbol
     batch = list(make_batch("otfs-one-path-bpsk", 7, 0.3, 64))
     batch[1] = np.zeros_like(batch[1])
-    ops, _, sym_idx, _, _, cand_idx, _, hamming = batch
-    assert kernels.symbol_wise(ops)
+    ops, _, sym_idx, _, points, cand_idx, _, hamming = batch
+    assert kernels.plan(ops, points).phi is not None
     per_frame = hamming[cand_idx[0], sym_idx].sum(axis=1)
     assert per_frame.sum() > 0
     assert kernels.matrix_frame_errors(*batch) == (
@@ -324,30 +326,39 @@ def test_integer_paths_split_a_4x4_grid_into_blocks():
 GRID_2X2 = OtfsGrid(M=2, N=2)
 
 
-@pytest.mark.parametrize("ops,route", [
-    pytest.param(path_ops(GRID_2X2, ONE_PATH, "otfs"), "diagonal", id="one-path"),
-    pytest.param(np.eye(4)[None] + 1e-6 * (1 - np.eye(4)), "one block",
+@pytest.mark.parametrize("ops,route,scheme", [
+    pytest.param(path_ops(GRID_2X2, ONE_PATH, "otfs"), "diagonal", "bpsk",
+                 id="one-path"),
+    pytest.param(np.eye(4)[None] + 1e-6 * (1 - np.eye(4)), "one block", "bpsk",
                  id="off-diagonal-1e-6"),
     pytest.param(path_ops(GRID_2X2, (PathSpec(m=1, omega=1.0, l=1),), "otfs"),
-                 "blocks", id="delayed-path"),
+                 "blocks", "bpsk", id="delayed-path"),
     pytest.param(path_ops(GRID_2X2, (PathSpec(m=1, omega=1.0, kappa=0.3),),
-                          "otfs"), "blocks", id="fractional-doppler"),
-    pytest.param(path_ops(GRID_2X2, ONE_PATH * 2, "otfs"), "diagonal",
+                          "otfs"), "blocks", "bpsk", id="fractional-doppler"),
+    pytest.param(path_ops(GRID_2X2, ONE_PATH * 2, "otfs"), "diagonal", "bpsk",
                  id="two-paths"),
     pytest.param(path_ops(GRID_2X2, (PathSpec(m=1, omega=0.5),
                                      PathSpec(m=1, omega=0.5, l=1)), "otfs"),
-                 "blocks", id="identity-plus-delayed-path"),
+                 "blocks", "bpsk", id="identity-plus-delayed-path"),
     pytest.param(path_ops(GRID_2X2, (PathSpec(m=1, omega=0.5, l=1),
                                      PathSpec(m=1, omega=0.5, k=1)), "otfs"),
-                 "one block", id="delayed-and-doppler-paths"),
+                 "one block", "bpsk", id="delayed-and-doppler-paths"),
+    pytest.param(path_ops(GRID_2X2, ONE_PATH, "otfs"), "one-symbol blocks",
+                 "psk-4", id="one-path-psk-4"),
 ])
 def test_only_one_diagonal_operator_takes_the_symbol_wise_route(
-        monkeypatch, ops, route):
+        monkeypatch, ops, route, scheme):
     # every operator diagonal, however many paths, takes the symbol-wise
-    # route; operators that split the symbols take one search per block, and
-    # one block the search over the full enumeration
+    # route with the BPSK table, and one-symbol blocks with a table that the
+    # sign slicer does not read; operators that split the symbols take one
+    # search per block, and one block the search over the full enumeration
     _, gains, sym_idx, noise, points, cand_idx, cand_pts, hamming = make_batch(
         "otfs-one-path-bpsk", 3, 0.3, 256)
+    if scheme == "psk-4":
+        const = make_constellation("psk", 4)
+        sym_idx = make_stream(3, 1).integers(0, const.order, sym_idx.shape)
+        points, hamming = const.points, engine._hamming_table(const)
+        cand_idx, cand_pts = modem.enumerate_candidates(const, sym_idx.shape[1])
     # distinct phases per path keep the channel of two paths non-singular
     gains = gains * np.exp(1j * np.arange(len(ops)))
     batch = (ops, gains, sym_idx, noise, points, cand_idx, cand_pts, hamming)
@@ -359,17 +370,21 @@ def test_only_one_diagonal_operator_takes_the_symbol_wise_route(
         return diag(*args)
 
     def block_spy(A_ops, parts, *args):
-        calls.append("blocks" if len(parts) > 1 else "one block")
         if len(parts) == 1:
+            calls.append("one block")
             assert np.array_equal(parts[0].cand, cand_idx)
             assert np.array_equal(points[parts[0].cand], cand_pts)
+        elif all(len(blk.idx) == 1 for blk in parts):
+            calls.append("one-symbol blocks")
+        else:
+            calls.append("blocks")
         return blocks(A_ops, parts, *args)
 
     monkeypatch.setattr(kernels, "diag_frame_errors", diag_spy)
     monkeypatch.setattr(kernels, "_block_frame_errors", block_spy)
     assert kernels.matrix_frame_errors(*batch) == direct_metric_errors(*batch)
     assert calls == [route]
-    assert kernels.symbol_wise(ops) == (route == "diagonal")
+    assert (kernels.plan(ops, points).phi is not None) == (route == "diagonal")
 
 
 @pytest.mark.parametrize("case", ["otfs-fractional-doppler", "otfs-two-path-qpsk",
@@ -577,22 +592,34 @@ def test_diag_kernel_matches_direct_formula(case, seed):
         assert kernels.diag_frame_errors(*batch) == direct_diag_errors(*batch)
 
 
+def cp_batch(cfg, seed, sigma, nf):
+    """matrix_frame_errors arguments of one fixed-seed batch on the engine's
+    CP-OFDM operators of cfg, and the (phi, scale) that the direct formula
+    reads for the same frames."""
+    const = make_constellation(cfg.scheme, cfg.order)
+    ops = np.stack([engine._path_operator(s, cfg) for s in cfg.paths])
+    mn = cfg.grid.frame_size
+    rng = make_stream(*seed)
+    gains = sample_nakagami_gains(cfg.paths, rng, nf)
+    sym_idx = rng.integers(0, const.order, (nf, mn))
+    noise = (rng.standard_normal((nf, mn))
+             + 1j * rng.standard_normal((nf, mn))) * (sigma / math.sqrt(2.0))
+    return ((ops, gains, sym_idx, noise, const.points, None, None,
+             engine._hamming_table(const)), cp_response(cfg))
+
+
 @pytest.mark.parametrize("scheme,order", [("qam", 16), ("psk", 512)])
 def test_diag_kernel_matches_direct_formula_for_large_orders(scheme, order):
-    # 512 points need decisions wider than one byte
+    # diagonal operators with a table that is not sign-sliced take the block
+    # search, one block of 512 candidates per symbol for 512-PSK
     cfg = engine.SweepConfig(grid=OtfsGrid(M=2, N=2), scheme=scheme, order=order,
                              paths=TWO_PATHS, waveform="ofdm", ofdm_chain="cp")
-    const = make_constellation(scheme, order)
-    phi, scale = cp_response(cfg)
-    rng = make_stream(9, order)
-    gains = sample_nakagami_gains(cfg.paths, rng, 600)
-    sym_idx = rng.integers(0, order, (600, 4))
-    noise = (rng.standard_normal((600, 4))
-             + 1j * rng.standard_normal((600, 4))) * 0.02
-    batch = (phi, scale, gains, sym_idx, noise, const.points,
-             engine._hamming_table(const))
-    got = kernels.diag_frame_errors(*batch)
-    assert got == direct_diag_errors(*batch)
+    batch, (phi, scale) = cp_batch(cfg, (9, order), 0.02 * math.sqrt(2.0), 600)
+    ops, gains, sym_idx, noise, points, _, _, hamming = batch
+    assert [len(b.idx) for b in kernels.plan(ops, points).blocks] == [1] * 4
+    got = kernels.matrix_frame_errors(*batch)
+    assert got == direct_diag_errors(phi, scale, gains, sym_idx, noise, points,
+                                     hamming)
     assert got[0] > 0
 
 
@@ -638,7 +665,7 @@ def test_sign_slicer_matches_direct_formula(sigma):
     for case in ("otfs-one-path-bpsk", "otfs-one-path-qpsk"):
         ops, gains, sym_idx, noise, points, cand_idx, cand_pts, hamming = (
             make_batch(case, 42, sigma, 3000))
-        assert kernels.symbol_wise(ops) and kernels._sign_axes(points)
+        assert kernels.plan(ops, points).phi is not None
         assert kernels.matrix_frame_errors(
             ops, gains, sym_idx, noise, points, cand_idx, cand_pts,
             hamming) == direct_diag_errors(
@@ -704,27 +731,33 @@ def test_sign_slicer_ties_go_to_the_lower_index(scheme):
 
 
 @pytest.mark.parametrize("scheme,order", [("psk", 2), ("psk", 4), ("qam", 16)])
-def test_other_tables_keep_the_distance_loop(scheme, order):
+def test_other_tables_take_the_block_search(scheme, order):
     # psk points of orders 2 and 4 are not exactly the BPSK and QPSK tables,
-    # so they are decided by the running minimum, as 16-QAM is
+    # so diagonal operators search them as one-symbol blocks, as 16-QAM
     cfg = engine.SweepConfig(grid=OtfsGrid(M=2, N=2), scheme=scheme, order=order,
                              paths=TWO_PATHS, waveform="ofdm", ofdm_chain="cp")
-    const = make_constellation(scheme, order)
-    assert kernels._sign_axes(const.points) == 0
-    phi, scale = cp_response(cfg)
+    assert kernels._sign_axes(make_constellation(scheme, order).points) == 0
     errors = 0
     for i, sigma in enumerate((1.0, 0.1, 1e-3)):
-        rng = make_stream(43, order, i)
-        gains = sample_nakagami_gains(cfg.paths, rng, 3000)
-        sym_idx = rng.integers(0, order, (3000, 4))
-        noise = (rng.standard_normal((3000, 4))
-                 + 1j * rng.standard_normal((3000, 4))) * (sigma / math.sqrt(2.0))
-        batch = (phi, scale, gains, sym_idx, noise, const.points,
-                 engine._hamming_table(const))
-        got = kernels.diag_frame_errors(*batch)
-        assert got == direct_diag_errors(*batch)
+        batch, (phi, scale) = cp_batch(cfg, (43, order, i), sigma, 3000)
+        ops, gains, sym_idx, noise, points, _, _, hamming = batch
+        assert kernels.plan(ops, points).phi is None
+        got = kernels.matrix_frame_errors(*batch)
+        assert got == direct_diag_errors(phi, scale, gains, sym_idx, noise,
+                                         points, hamming)
         errors += got[0]
     assert errors > 0
+
+
+def test_diag_kernel_refuses_a_table_it_does_not_slice():
+    # psk order 4 is QPSK's constellation in another order and labelling
+    cfg = engine.SweepConfig(grid=OtfsGrid(M=2, N=2), scheme="psk", order=4,
+                             paths=TWO_PATHS, waveform="ofdm", ofdm_chain="cp")
+    batch, (phi, scale) = cp_batch(cfg, (43, 4), 0.3, 16)
+    _, gains, sym_idx, noise, points, _, _, hamming = batch
+    with pytest.raises(ValueError):
+        kernels.diag_frame_errors(phi, scale, gains, sym_idx, noise, points,
+                                  hamming)
 
 
 def _copies(args):
@@ -780,7 +813,7 @@ def test_cp_subcarrier_response_is_the_cp_ofdm_operator(case):
     cfg = diag_config(case)
     grid = cfg.grid
     ops = np.stack([engine._path_operator(s, cfg) for s in cfg.paths])
-    assert kernels.symbol_wise(ops)
+    assert kernels.plan(ops, make_constellation(cfg.scheme).points).phi is not None
     phi, scale = cp_response(cfg)
     for p, s in enumerate(cfg.paths):
         A = ops[p]
