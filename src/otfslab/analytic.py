@@ -11,7 +11,8 @@ real shapes and any path powers.
 Multi-user path: the aggregate interference power S is moment-matched to a
 Gamma(m_z, omega_z) variate.  multiuser_ber averages A*Q(sqrt(2 B SINR)) with
 SINR = (Es/N0) / (1 + S) through specfun.erfc_gamma_average, and
-semi_analytic_mc_ber estimates it from drawn interference powers.
+semi_analytic_mc_ber estimates it from interference powers that
+fading.sample_total_power draws, skipping the phases.
 
 Of scipy only scipy.special loads, on first use, not on import: erfcx in
 specfun.erfc_gamma_average (a trapezoid rule in ln W, so multiuser_ber) and
@@ -250,11 +251,11 @@ def semi_analytic_mc_ber(es_n0: float, interferers, mod: ModErrorParams,
     raises TypeError) ends where sample_nakagami_gains would leave it.  It
     forms SINR = (Es/N0)/(1 + S) and averages A*Q(sqrt(2*B*SINR))/log2(M);
     the printed SINR carries no desired-channel fading.  `trials` is at
-    least SEMI_MC_MIN_TRIALS.  Returns (ber, standard_error), the bits of
-    np.mean and of np.std(ddof=1) / sqrt(trials) over the trials'
-    conditional BERs, formed in the drawn array: one array of `trials`
-    doubles plus one draw chunk is live.  With no interferers the result is
-    the deterministic formula and the standard error is zero.
+    least SEMI_MC_MIN_TRIALS.  Returns (ber, standard_error) over the
+    trials' conditional BERs: their mean, and the bits of
+    np.std(ddof=1) / sqrt(trials) formed in the drawn array, so one array of
+    `trials` doubles plus one draw chunk is live.  With no interferers the
+    result is the deterministic formula and the standard error is zero.
 
     The engine may call this from a worker thread, several points at once.
     It reads only `rng`, the stream its caller made for this point, and
@@ -277,15 +278,14 @@ def semi_analytic_mc_ber(es_n0: float, interferers, mod: ModErrorParams,
     x *= mod.B
     np.sqrt(x, out=x)
     special.erfc(x, out=x)
-    # the moments in place, by np.mean's and np.std(ddof=1)'s own steps, so
-    # they are those functions' bits without std's temporary of `trials`
-    mean = np.add.reduce(x, keepdims=True)
-    mean /= trials
+    # the variance in place, by np.std(ddof=1)'s own steps, so it is that
+    # function's bits without std's temporary of `trials`
+    mean = x.mean()
     x -= mean
     np.square(x, out=x)
     var = float(np.add.reduce(x)) / (trials - 1)
     # A*Q(sqrt(2u)) = (A/2) erfc(sqrt(u)); the constant factors out of both moments
     scale = 0.5 * mod.A / mod.bits_per_symbol
-    ber = scale * float(mean[0])
+    ber = scale * float(mean)
     se = scale * math.sqrt(var) / math.sqrt(trials)
     return ber, se

@@ -4,8 +4,9 @@ Subcommands:
     sweep      Monte Carlo sweep plus the matching closed-form curve.
     analytic   closed-form-only curve on a dense SNR grid.
     compare    paired OTFS vs OFDM run, each batch of channel/noise
-               realizations drawn once and fed to both chains; it pairs
-               waveform chains only, so simo-semianalytic mode exits 2.
+               realizations drawn once and fed to both chains, so it
+               takes no --waveform; it pairs waveform chains only, so
+               simo-semianalytic mode exits 2.
     diversity  empirical slope report next to the closed-form approximations.
     figure     paper-replication presets (1-4).
 
@@ -40,7 +41,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from operator import attrgetter
 
-from . import __version__, analytic, diversity, engine, kernels
+from . import __version__, analytic, diversity, engine
 from .engine import BerCurve, SweepConfig
 from .errors import CapacityError, ConfigError, NumericError, OtfsLabError
 from .fading import PathSpec
@@ -422,8 +423,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     curve = engine.run_sweep(cfg, _progress_printer(sys.stderr, cfg) if args.verbose else None)
     emit_csv(curve, args.out)
-    print(f"wrote {args.out} ({len(curve.points)} points, backend "
-          f"{kernels.active_backend()})")
+    print(f"wrote {args.out} ({len(curve.points)} points)")
     return 0
 
 
@@ -447,8 +447,7 @@ def cmd_compare(args) -> int:
     cfg = _load_config(args)
     otfs, ofdm = engine.paired_comparison(
         cfg, _progress_printer(sys.stderr, cfg) if args.verbose else None)
-    emit_csv([otfs, ofdm], args.out, config=cfg,
-             notes=[f"ofdm baseline: {cfg.ofdm_chain} chain"])
+    emit_csv([otfs, ofdm], args.out, config=cfg)
     for wf, curve in (("otfs", otfs), ("ofdm", ofdm)):
         last = curve.points[-1]
         print(f"{wf}: BER {last.ber:.4e} at {last.snr_db:g} dB ({last.bit_errors} errors)")
@@ -531,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, out=out)
         return p
 
-    mc = "config seed out snr verbose frames-max target-errors waveform mode"
-    command("sweep", cmd_sweep, "Monte Carlo + analytic curve", mc)
+    mc = "config seed out snr verbose frames-max target-errors mode"
+    command("sweep", cmd_sweep, "Monte Carlo + analytic curve", mc + " waveform")
     command("analytic", cmd_analytic, "closed-form curve only",
             "config seed out snr mode")
     command("compare", cmd_compare, "paired OTFS vs OFDM run", mc)

@@ -16,10 +16,10 @@ whose variates are that scale times a standard Gamma variate; and
 ``rng.uniform(0, 2 pi)``, which is ``0 + 2 pi * random`` and reads one double
 per value, as ``random`` does.  A draw that only sums the powers does not
 compute the phases at all: each double is one 64-bit Philox word, so it moves
-the stream past them by counter arithmetic and lands where drawing them would
-have left it.  Its first path's powers go straight into the sum and each later
-path's come in chunks of _POWER_CHUNK, so one array of the sum's size plus one
-chunk is live, however many paths there are.
+the stream past them with ``Philox.advance`` and lands where drawing them
+would have left it.  Every path's powers are drawn in chunks of _POWER_CHUNK
+and added into the zeroed sum, so one array of the sum's size plus one chunk
+is live, however many paths there are.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from .errors import DomainError
 
 # Philox4x64 counter step: four 64-bit words, one per double drawn
 _PHILOX_WORDS = 4
-_WORD_MASK = (1 << 64) - 1
 
-# doubles per chunk in which sample_total_power adds the second and later
-# paths' powers to the sum (128 KiB)
+# doubles per chunk in which sample_total_power adds each path's powers to the
+# sum (128 KiB)
 _POWER_CHUNK = 16_384
 
 
@@ -72,11 +71,11 @@ def _skip_doubles(rng: np.random.Generator, n: int) -> None:
     """Move a Philox stream past ``n`` doubles without computing them.
 
     Philox4x64 makes four 64-bit words per counter step and a double reads
-    one word.  Past the words left in the current block, the whole blocks
-    are added to the counter through the state dict (which keeps
-    ``has_uint32`` and ``uinteger``; ``Philox.advance`` zeroes them) and
-    the remainder is drawn, so every later draw sees the variates it would
-    have seen after ``rng.random(n)``.
+    one word.  The words left in the current block are drawn, the whole
+    blocks are skipped with ``Philox.advance`` and the remainder is drawn,
+    so every later draw sees the variates it would have seen after
+    ``rng.random(n)``.  ``advance`` zeroes a pending 32-bit half word, so
+    ``has_uint32`` and ``uinteger`` are put back through the state dict.
     """
     bitgen = rng.bit_generator
     state = bitgen.state
@@ -85,12 +84,11 @@ def _skip_doubles(rng: np.random.Generator, n: int) -> None:
     if not blocks:
         bitgen.random_raw(n)
         return
-    words = state["state"]["counter"]
-    counter = sum(int(w) << (64 * i) for i, w in enumerate(words)) + blocks
-    state["state"]["counter"] = np.array(
-        [(counter >> (64 * i)) & _WORD_MASK for i in range(len(words))], dtype=np.uint64)
-    state["buffer_pos"] = _PHILOX_WORDS
-    bitgen.state = state
+    bitgen.random_raw(head)
+    bitgen.advance(blocks)
+    advanced = bitgen.state
+    advanced["has_uint32"], advanced["uinteger"] = state["has_uint32"], state["uinteger"]
+    bitgen.state = advanced
     bitgen.random_raw(tail)
 
 
@@ -127,24 +125,20 @@ def sample_total_power(specs, rng: np.random.Generator, size: int) -> np.ndarray
     would: each path's phases are skipped rather than drawn, so the next
     path's powers, and any later draw, are the same variates as there.  The
     sums equal those of the gains' squared magnitudes to within rounding.
-    The first path's powers are drawn into the sums; each later path's are
-    drawn _POWER_CHUNK at a time, which reads the stream as one draw of
-    ``size`` does, and added in.  So one array of ``size`` plus one chunk is
-    live, whatever the number of paths.
+    Each path's powers are drawn _POWER_CHUNK at a time, which reads the
+    stream as one draw of ``size`` does, and added into the zeroed sums.  So
+    one array of ``size`` plus one chunk is live, whatever the number of
+    paths.
     """
     if not isinstance(rng.bit_generator, np.random.Philox):
         raise TypeError(f"skipping phases needs a Philox stream (make_stream), "
                         f"got {type(rng.bit_generator).__name__}")
     total = np.zeros(size)
-    chunk = np.empty(min(size, _POWER_CHUNK)) if len(specs) > 1 else None
-    for p, spec in enumerate(specs):
-        if p == 0:
-            _draw_power(spec, rng, total)
-        else:
-            for start in range(0, size, _POWER_CHUNK):
-                part = chunk[:min(_POWER_CHUNK, size - start)]
-                _draw_power(spec, rng, part)
-                total[start:start + part.size] += part
+    chunk = np.empty(min(size, _POWER_CHUNK))
+    for spec in specs:
+        for start in range(0, size, _POWER_CHUNK):
+            part = chunk[:min(_POWER_CHUNK, size - start)]
+            _draw_power(spec, rng, part)
+            total[start:start + part.size] += part
         _skip_doubles(rng, size)
     return total
-

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import resource
 
 import pytest
@@ -202,3 +203,9 @@ def test_inclusive_seconds_per_sweep_from_a_span_dump(tmp_path):
     assert got.keys() == {"engine.run_sweep", "analytic.semi_mc"}
     assert got["engine.run_sweep"] == pytest.approx(0.5)
     assert got["analytic.semi_mc"] == pytest.approx(0.3)
+
+
+def test_host_reads_two_processes_serial_and_parallel(monkeypatch):
+    monkeypatch.setattr(ab_bench, "LOOP_STEPS", 1000)
+    assert re.search(r"two 1000-step loops \d+\.\d{3} s serial, \d+\.\d{3} s parallel$",
+                     ab_bench.host())

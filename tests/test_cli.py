@@ -331,6 +331,13 @@ class TestCliCommands:
         assert "unrecognized arguments: --verbose" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_compare_takes_no_waveform_flag(self, tmp_path, capsys):
+        # compare runs both chains, so a waveform would name neither
+        out = tmp_path / "c.csv"
+        assert main(["compare", "--waveform", "ofdm", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --waveform ofdm" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_and_manifest_reproducibility(self, tmp_path):
         out1 = tmp_path / "run1.csv"
         out2 = tmp_path / "run2.csv"

@@ -173,16 +173,19 @@ class TestTotalPower:
                 fading.sample_nakagami_gains(specs, b, size)
                 assert np.array_equal(a.random(9), b.random(9)), (size, lead)
 
-    def test_a_pending_int32_half_word_is_kept(self):
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 4099])
+    def test_a_pending_int32_half_word_is_kept(self, size):
         # an int32 draw leaves the other half of its word in has_uint32 and
-        # uinteger, which Philox.advance would zero
+        # uinteger.  On these streams sizes 1-4 skip no whole block, while 5
+        # and 4099 go through Philox.advance, which zeroes both, so the skip
+        # puts them back
         specs = POWER_SPEC_SETS["p2-mixed"]
-        a, b = make_stream(35, 0), make_stream(35, 0)
+        a, b = make_stream(35, size), make_stream(35, size)
         for rng in (a, b):
             rng.integers(0, 1000, dtype=np.int32)
         assert a.bit_generator.state["has_uint32"] == 1
-        fading.sample_total_power(specs, a, 4099)
-        fading.sample_nakagami_gains(specs, b, 4099)
+        fading.sample_total_power(specs, a, size)
+        fading.sample_nakagami_gains(specs, b, size)
         assert np.array_equal(a.integers(0, 1000, 9, dtype=np.int32),
                               b.integers(0, 1000, 9, dtype=np.int32))
         assert np.array_equal(a.random(9), b.random(9))
@@ -213,10 +216,11 @@ class TestTotalPower:
         assert np.array_equal(total, powers.sum(axis=1))
         assert np.array_equal(drawn.view(np.int64), gains.view(np.int64))
 
-    @pytest.mark.parametrize("name", ["p2-mixed", "p3-non-integer"])
+    @pytest.mark.parametrize("name", ["p1", "p2-mixed", "p3-non-integer"])
     def test_chunks_read_the_stream_as_one_draw(self, name):
-        # later paths are drawn fading._POWER_CHUNK at a time: sizes on and
-        # about the chunk edges give one draw's powers and stream position
+        # every path, the first included, is drawn fading._POWER_CHUNK at a
+        # time: sizes on and about the chunk edges give one draw's powers and
+        # stream position
         specs = POWER_SPEC_SETS[name]
         chunk = fading._POWER_CHUNK
         for size in (chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
@@ -227,10 +231,10 @@ class TestTotalPower:
             assert np.array_equal(a.random(9), b.random(9)), size
 
     def test_draws_in_place(self):
-        # the first path draws into the sums and later ones add one chunk of
-        # fading._POWER_CHUNK (0.08 of the sums here).  A scratch array of
-        # the sums' size peaks at two arrays, and a draw that allocated per
-        # path (powers, then phases, beside the sums) at five
+        # every path adds one chunk of fading._POWER_CHUNK (0.08 of the sums
+        # here) into the sums.  A scratch array of the sums' size peaks at two
+        # arrays, and a draw that allocated per path (powers, then phases,
+        # beside the sums) at five
         size = 200_000
         for name in ("p1", "p2-mixed", "p3-mixed"):
             tracemalloc.start()

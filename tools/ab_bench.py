@@ -18,7 +18,9 @@ benchmark hook took as a parent.
 ``--figure N`` times ``otfslab figure N`` on both sides, alternating, and
 compares the CSV data rows; each record has wall and CPU seconds, which
 differ when the program or its BLAS runs threads, and the peak RSS that the
-figure's process reports of itself.
+figure's process reports of itself.  The ``host`` record also reads
+whether this host runs two processes in parallel: two forked
+``LOOP_STEPS``-step Python loops, one after the other and then at once.
 
 The JSON written to ``--out`` holds every run and, per workload and metric
 listed in ``BENCHMARK.json``, the median and quartiles of each side, the
@@ -57,6 +59,7 @@ FIGURE_MAIN = "import sys; from otfslab.cli import main; sys.exit(main(sys.argv[
 PEAK_REPORT = ("import atexit, sys; atexit.register(lambda: sys.stderr.write(''.join("
                "ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:'))))")
 GAIN_WIN_SHARE = 0.9
+LOOP_STEPS = 3_000_000   # per process of the host's two-process reading
 SWEEP_SPAN = "bench.sweep"   # the span perfbench/run.py opens around each sweep
 
 
@@ -218,12 +221,33 @@ def data_rows(path: str) -> list:
         return [line for line in fh if not line.startswith("#")]
 
 
+def forked_loops(count: int) -> float:
+    """Seconds for ``count`` forked children, started together, to each run
+    a pure-Python loop of LOOP_STEPS steps."""
+    start = perf_counter()
+    pids = []
+    for _ in range(count):
+        pid = os.fork()
+        if pid == 0:
+            n = 0
+            for _ in range(LOOP_STEPS):
+                n += 1
+            os._exit(0)
+        pids.append(pid)
+    for pid in pids:
+        os.waitpid(pid, 0)
+    return perf_counter() - start
+
+
 def host() -> str:
     mem_gb = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2 ** 30
     import numpy
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else "?"
+    serial = forked_loops(1) + forked_loops(1)
+    parallel = forked_loops(2)
     return (f"{os.cpu_count()} cores ({usable} usable), {mem_gb:.0f} GB, {platform.system()}, "
-            f"python {platform.python_version()}, numpy {numpy.__version__}")
+            f"python {platform.python_version()}, numpy {numpy.__version__}, "
+            f"two {LOOP_STEPS}-step loops {serial:.3f} s serial, {parallel:.3f} s parallel")
 
 
 def main(argv=None) -> int:
